@@ -11,7 +11,6 @@ from .errors import (
     InconsistentLineality,
     NotAMatroidAt,
     NotAProduct,
-    NotComparable,
     ParseError,
     PreconditionError,
     SingularMatrix,
@@ -78,7 +77,6 @@ from .weyl import (
     longest_element,
     metric,
     order_key,
-    u_leq,
 )
 
 __version__ = "0.1.0"

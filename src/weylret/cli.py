@@ -43,8 +43,8 @@ from .retraction import (
     matroid_retract,
     retraction_table,
 )
-from .suites import SUITES, run_suite
-from .weyl import Factor, GroupDescriptor, SignedPermutation, WeylType, elements
+from .suites import SUITES, _random_subset, run_suite
+from .weyl import Factor, GroupDescriptor, SignedPermutation, WeylType
 import random
 
 
@@ -263,11 +263,9 @@ def cmd_matroid_scan(args) -> int:
     route disagree; none is expected to exist."""
     group = parse_group(args.group)
     rng = random.Random(args.seed)
-    pool = list(elements(group))
     disagreements = []
-    for i in range(args.count):
-        size = rng.randint(1, len(pool))
-        M = SubsetM(group, tuple(rng.sample(pool, size)))
+    for _ in range(args.count):
+        M = _random_subset(group, rng)
         order_route = is_coxeter_matroid(M).is_matroid
         hull_route = phi_polytope_check(M).is_phi
         if order_route != hull_route:
@@ -320,7 +318,7 @@ def cmd_verify(args) -> int:
     results = []
     for name in names:
         t0 = time.perf_counter()
-        res = run_suite(name, count=args.count, seed=args.seed, threads=args.threads)
+        res = run_suite(name, count=args.count, seed=args.seed)
         wall = time.perf_counter() - t0
         all_passed &= res.passed
         payload = res.to_json()
@@ -414,7 +412,6 @@ def build_parser() -> _Parser:
     p.add_argument("suite", nargs="*", help=f"suites: {', '.join(sorted(SUITES))}")
     p.add_argument("--count", type=int, default=None, help="scale random parts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--timings", action="store_true", help="embed wall times in stdout")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)

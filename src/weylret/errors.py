@@ -15,8 +15,9 @@ class ParseError(WeylretError):
     """Malformed textual input (JSON windows, rationals, group strings)."""
 
 
-class PreconditionError(WeylretError):
-    """An operation was called outside its contract."""
+class PreconditionError(WeylretError, ValueError):
+    """An operation was called outside its contract (also a ValueError, so
+    callers that catch ValueError keep working)."""
 
 
 class DescriptorMismatch(PreconditionError):
@@ -57,10 +58,6 @@ class SingularMatrix(PreconditionError):
 
 class GiveUp(WeylretError):
     """A best-effort sampler exhausted its retry budget."""
-
-
-class NotComparable(PreconditionError):
-    """The two elements are not comparable in Bruhat order."""
 
 
 class AmbiguousBoundary(WeylretError):

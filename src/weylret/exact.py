@@ -10,7 +10,7 @@ projecting to an integral coordinate chart of the affine hull.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 
 Rat = int | Fraction
 
@@ -190,7 +190,6 @@ class HalfspaceCone:
     normals: tuple[tuple[int, ...], ...]
     equalities: tuple[tuple[int, ...], ...] = ()
     dim: int = 0
-    lineality_basis: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
 
 
 def _dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
@@ -400,6 +399,6 @@ def hull_edges(points: Sequence[Sequence[Rat]]) -> tuple[list[int], list[tuple[i
         return _hull_2d(proj, idx)  # type: ignore[arg-type]
     if k == 3:
         if max(abs(v) for p in proj for v in p) > 10**5:
-            raise ValueError("coordinates too large for the int64 hull path")
+            raise PreconditionError("coordinates too large for the int64 hull path")
         return _hull_3d(proj, idx)
-    raise ValueError(f"intrinsic dimension {k} > 3 is not supported")
+    raise PreconditionError(f"intrinsic dimension {k} > 3 is not supported")

@@ -135,7 +135,7 @@ def build_fan(table: RetractionTable) -> Fan:
             FanCone(
                 target=y,
                 members=tuple(members),
-                cone=HalfspaceCone(normals=normals, dim=dim, lineality_basis=lin),
+                cone=HalfspaceCone(normals=normals, dim=dim),
                 reduced_lineality=lin,
             )
         )
@@ -176,7 +176,11 @@ def query(fan: Fan, lam: Sequence[Rat]) -> QueryResult:
         raise AmbiguousBoundary(f"point lies between targets {shown}")
     target = next(fan.table.retract(u) for u in hit)
     grade = cone_membership(fan.cone_for(target).cone, lam)
-    assert grade is not Membership.OUTSIDE
+    if grade is Membership.OUTSIDE:
+        raise AssertionError(
+            f"point {list(lam)} lies outside the cone of its own target"
+            f" {list(target.window)}"
+        )
     return QueryResult(target=target, grade=grade, chambers=tuple(hit))
 
 

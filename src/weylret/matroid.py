@@ -21,7 +21,8 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .exact import Rat, hull_edges, lp_edge_feasible
-from .retraction import SubsetM, _dominates_all, algebraic_retract, closest_set
+from .retraction import SubsetM, _extremal_set, algebraic_retract, closest_set
+from .retraction import _extremal_elements  # noqa: F401  (bench/spans.py traces the scan by this name)
 from .weyl import (
     GroupDescriptor,
     SignedPermutation,
@@ -31,33 +32,11 @@ from .weyl import (
     chamber_of,
     compose,
     elements,
-    extended_window,
     inverse,
+    letter_positions,
 )
 
 LP_CROSSCHECK_LIMIT = 8
-
-
-def _extremal_elements(
-    M: SubsetM, u: SignedPermutation, side: str
-) -> tuple[SignedPermutation, ...]:
-    """Elements of M whose translate u^-1 v is Bruhat-minimal (or -maximal)
-    within u^-1 M."""
-    iu = inverse(u)
-    translated = [(compose(iu, v), v) for v in M]
-    out = []
-    for tv, v in translated:
-        beaten = False
-        for tw, _ in translated:
-            if tw.window == tv.window:
-                continue
-            lower = bruhat_leq(tw, tv) if side == "min" else bruhat_leq(tv, tw)
-            if lower:
-                beaten = True
-                break
-        if not beaten:
-            out.append(v)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -70,19 +49,16 @@ class MatroidVerdict:
 def is_coxeter_matroid(M: SubsetM, side: str = "max") -> MatroidVerdict:
     """Check the unique-extremum property at every base element.
 
-    Fast path per base element: take the greedy candidate and verify by
-    direct dominance that it is a true extremum, which settles uniqueness
-    without the quadratic scan; fall back to the scan when the candidate
-    fails (the subset is then typically not a matroid at that u)."""
+    Fast path per base element when M is a product: take the greedy
+    candidate and verify by direct dominance that it is a true extremum,
+    which settles uniqueness without the quadratic scan; fall back to the
+    scan when the candidate fails (the subset is then typically not a
+    matroid at that u)."""
     if side not in ("min", "max"):
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     failures = []
     for u in elements(M.group):
-        if M.is_product:
-            cand = algebraic_retract(M, u, side=side)
-            if _dominates_all(M, u, cand, side):
-                continue
-        ext = _extremal_elements(M, u, side)
+        ext = _extremal_set(M, u, side, greedy_first=True)
         if len(ext) != 1:
             failures.append((u, ext))
     return MatroidVerdict(not failures, side, tuple(failures))
@@ -151,7 +127,8 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
     points, nu = orbit_points(M, nu)
     verts, edges = hull_edges(points)
     # points of one orbit lie on a sphere, so each must come back a vertex
-    assert len(verts) == len(points), "regular orbit point was not a hull vertex"
+    if len(verts) != len(points):
+        raise AssertionError("regular orbit point was not a hull vertex")
     roots = M.group.all_roots()
     members = M.elements
     offending = []
@@ -190,7 +167,7 @@ def set_order_leq(
 ) -> bool:
     """Gale dominance of equal-size letter sets in the linear order induced
     by u on window letters."""
-    pos = {v: i for i, v in enumerate(extended_window(u))}
+    pos = letter_positions(u)
     ss = sorted((pos[x] for x in s))
     tt = sorted((pos[x] for x in t))
     if len(ss) != len(tt):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import GiveUp, SingularMatrix, TieDetected
+from .errors import GiveUp, PreconditionError, SingularMatrix, TieDetected
 from .exact import Rat, RationalMatrix
 from .retraction import RetractionTable, SubsetM
 from .weyl import GroupDescriptor, SignedPermutation, WeylType, elements
@@ -51,7 +51,7 @@ class PluckerSupport:
 def plucker_support(x: RationalMatrix) -> PluckerSupport:
     n = x.nrows
     if x.ncols != n:
-        raise ValueError("need a square matrix")
+        raise PreconditionError(f"need a square matrix, got {x.nrows}x{x.ncols}")
     if x.det() == 0:
         raise SingularMatrix("matrix is singular")
     levels = []
@@ -161,6 +161,8 @@ def sample_rational_point(
     interval given by `interval`, raising `GiveUp` after `max_tries`.
     """
     rng = random.Random(seed)
+    if n < 1:
+        raise PreconditionError(f"matrix size must be at least 1, got {n}")
     if kind not in ("generic", "sparse", "interval"):
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "interval":

@@ -23,15 +23,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import NotAMatroidAt, NotAProduct, ParseError
+from .errors import DescriptorMismatch, NotAMatroidAt, NotAProduct, ParseError
 from .weyl import (
-    Factor,
     GroupDescriptor,
     SignedPermutation,
     WeylType,
     bruhat_leq,
     compose,
     elements,
+    factor_extended_window,
     inverse,
     length,
     order_key,
@@ -124,12 +124,6 @@ class SubsetM:
             raise ParseError(f"bad subset payload: {exc}") from exc
 
 
-def _extended_local(f: Factor, loc: tuple[int, ...]) -> tuple[int, ...]:
-    if f.type is WeylType.A:
-        return loc
-    return loc + tuple(-v for v in reversed(loc))
-
-
 def algebraic_retract(
     M: SubsetM, u: SignedPermutation, side: str = "min"
 ) -> SignedPermutation:
@@ -148,7 +142,7 @@ def algebraic_retract(
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     win: list[int] = []
     for (off, f), trie, loc in zip(M.group.segments(), M.tries, u.local_windows()):
-        pos = {v: i for i, v in enumerate(_extended_local(f, loc))}
+        pos = {v: i for i, v in enumerate(factor_extended_window(f, loc))}
         node = trie
         for _ in range(f.rank):
             v = pick(node, key=pos.__getitem__)
@@ -190,6 +184,40 @@ def _dominates_all(M: SubsetM, u: SignedPermutation, cand: SignedPermutation, si
     return True
 
 
+def _extremal_elements(
+    M: SubsetM, u: SignedPermutation, side: str
+) -> tuple[SignedPermutation, ...]:
+    """Elements of M whose translate u^-1 v is Bruhat-minimal (or -maximal)
+    within u^-1 M: the quadratic scan."""
+    iu = inverse(u)
+    translated = [(compose(iu, v), v) for v in M]
+    out = []
+    for tv, v in translated:
+        beaten = False
+        for tw, _ in translated:
+            if tw.window == tv.window:
+                continue
+            lower = bruhat_leq(tw, tv) if side == "min" else bruhat_leq(tv, tw)
+            if lower:
+                beaten = True
+                break
+        if not beaten:
+            out.append(v)
+    return tuple(out)
+
+
+def _extremal_set(
+    M: SubsetM, u: SignedPermutation, side: str, greedy_first: bool
+) -> tuple[SignedPermutation, ...]:
+    """The extremal elements at u: the greedy candidate alone when direct
+    dominance confirms it (product subsets only), else the quadratic scan."""
+    if greedy_first and M.is_product:
+        cand = algebraic_retract(M, u, side=side)
+        if _dominates_all(M, u, cand, side):
+            return (cand,)
+    return _extremal_elements(M, u, side)
+
+
 def matroid_retract(
     M: SubsetM,
     u: SignedPermutation,
@@ -205,27 +233,10 @@ def matroid_retract(
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     if greedy_first is None:
         greedy_first = M.is_product and len(M) >= 64
-    if greedy_first and M.is_product:
-        cand = algebraic_retract(M, u, side=side)
-        if _dominates_all(M, u, cand, side):
-            return cand
-    iu = inverse(u)
-    translated = [(compose(iu, v), v) for v in M]
-    extremal: list[tuple[SignedPermutation, SignedPermutation]] = []
-    for tv, v in translated:
-        beaten = False
-        for tw, w in translated:
-            if tw.window == tv.window:
-                continue
-            lower = bruhat_leq(tw, tv) if side == "min" else bruhat_leq(tv, tw)
-            if lower:
-                beaten = True
-                break
-        if not beaten:
-            extremal.append((tv, v))
+    extremal = _extremal_set(M, u, side, greedy_first)
     if len(extremal) == 1:
-        return extremal[0][1]
-    raise NotAMatroidAt(u, tuple(v for _, v in extremal))
+        return extremal[0]
+    raise NotAMatroidAt(u, extremal)
 
 
 def closest_set(
@@ -233,7 +244,8 @@ def closest_set(
 ) -> tuple[tuple[SignedPermutation, ...], int]:
     """Elements of M at minimal word-metric distance from u, with the
     distance."""
-    dists = [(length(compose(inverse(u), v)), v) for v in M]
+    iu = inverse(u)
+    dists = [(length(compose(iu, v)), v) for v in M]
     best = min(d for d, _ in dists)
     return tuple(v for d, v in dists if d == best), best
 
@@ -278,6 +290,10 @@ class RetractionTable:
         return {u.window: v for u, v in self.mapping}
 
     def retract(self, u: SignedPermutation) -> SignedPermutation:
+        if u.group != self.group:
+            raise DescriptorMismatch(
+                f"element {list(u.window)} of {u.group} is not in {self.group}"
+            )
         return self.as_dict[u.window]
 
     def to_json(self) -> dict:

@@ -2,19 +2,15 @@
 
 Each suite recomputes a body of frozen facts from scratch and reports the
 number of checks performed plus any discrepancies.  Random parts are
-seeded, so runs are reproducible; `WEYLRET_THREADS` (or an explicit thread
-count) fans independent cases out over a thread pool with results kept in
-input order.
+seeded, so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable
 
 from .errors import AmbiguousBoundary, InconsistentLineality
 from .exact import Membership, RationalMatrix
@@ -50,32 +46,7 @@ from .weyl import (
     inverse,
 )
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 MAX_REPORTED_FAILURES = 20
-
-
-def thread_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    try:
-        return max(1, int(os.environ.get("WEYLRET_THREADS", "")))
-    except ValueError:
-        return 1
-
-
-def map_cases(
-    fn: Callable[[T], R], cases: Iterable[T], threads: int | None = None
-) -> list[R]:
-    """Apply fn to every case, results in input order; `threads` > 1 (or
-    WEYLRET_THREADS) runs cases on a thread pool."""
-    items = list(cases)
-    t = thread_count(threads)
-    if t <= 1 or len(items) <= 1:
-        return [fn(c) for c in items]
-    with ThreadPoolExecutor(max_workers=t) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -161,7 +132,7 @@ def _random_subset(
 
 # --- Suites ---------------------------------------------------------------
 
-def suite_table1(count: int | None = None, seed: int = 0, threads: int | None = None) -> SuiteResult:
+def suite_table1(count: int | None = None, seed: int = 0) -> SuiteResult:
     """All three routes reproduce the frozen six-row tables of both demo
     matrices, along with their supports and fixed points."""
     checks = 0
@@ -194,7 +165,7 @@ def suite_table1(count: int | None = None, seed: int = 0, threads: int | None = 
     return SuiteResult("table1", checks, tuple(failures[:MAX_REPORTED_FAILURES]))
 
 
-def suite_closest_unique(count: int | None = None, seed: int = 0, threads: int | None = None) -> SuiteResult:
+def suite_closest_unique(count: int | None = None, seed: int = 0) -> SuiteResult:
     """The word-metric-closest element of a fixed-point set is unique at
     every base element and equals the greedy retract."""
     per_n = count if count is not None else 12
@@ -219,13 +190,13 @@ def suite_closest_unique(count: int | None = None, seed: int = 0, threads: int |
 
     checks = 0
     failures: list[str] = []
-    for done, bad in map_cases(run_one, mats, threads):
+    for done, bad in map(run_one, mats):
         checks += done
         failures.extend(bad)
     return SuiteResult("closest-unique", checks, tuple(failures[:MAX_REPORTED_FAILURES]))
 
 
-def suite_thmb_random(count: int | None = None, seed: int = 0, threads: int | None = None) -> SuiteResult:
+def suite_thmb_random(count: int | None = None, seed: int = 0) -> SuiteResult:
     """Geometric limit tables of seeded random invertible matrices agree
     with the greedy tables on their fixed-point sets."""
     per_n = count if count is not None else 10
@@ -251,13 +222,13 @@ def suite_thmb_random(count: int | None = None, seed: int = 0, threads: int | No
 
     checks = 0
     failures: list[str] = []
-    for done, bad in map_cases(run_one, mats, threads):
+    for done, bad in map(run_one, mats):
         checks += done
         failures.extend(bad)
     return SuiteResult("thmB-random", checks, tuple(failures[:MAX_REPORTED_FAILURES]))
 
 
-def suite_matroid_equiv(count: int | None = None, seed: int = 0, threads: int | None = None) -> SuiteResult:
+def suite_matroid_equiv(count: int | None = None, seed: int = 0) -> SuiteResult:
     """Order-route tables equal greedy tables on fixed-point sets, which
     also pass the unique-extremum check on both sides; and on types A and
     BC the prefix-set dominance order matches the lifted Bruhat order."""
@@ -288,7 +259,7 @@ def suite_matroid_equiv(count: int | None = None, seed: int = 0, threads: int | 
 
     checks = 0
     failures: list[str] = []
-    for done, bad in map_cases(run_one, mats, threads):
+    for done, bad in map(run_one, mats):
         checks += done
         failures.extend(bad)
 
@@ -312,7 +283,7 @@ def suite_matroid_equiv(count: int | None = None, seed: int = 0, threads: int | 
     return SuiteResult("matroid-equiv", checks, tuple(failures[:MAX_REPORTED_FAILURES]))
 
 
-def suite_gs_s3_exhaustive(count: int | None = None, seed: int = 0, threads: int | None = None) -> SuiteResult:
+def suite_gs_s3_exhaustive(count: int | None = None, seed: int = 0) -> SuiteResult:
     """Unique-extremum and root-parallel-edge verdicts coincide: on every
     nonempty subset of the rank-3 symmetric group, plus seeded random
     subsets of the rank-4 symmetric and rank-2 signed groups."""
@@ -341,15 +312,14 @@ def suite_gs_s3_exhaustive(count: int | None = None, seed: int = 0, threads: int
             )
         return None
 
-    outcomes = map_cases(run_one, cases, threads)
-    failures = [o for o in outcomes if o is not None]
+    failures = [o for o in map(run_one, cases) if o is not None]
     notes = (f"{len(cases)} subsets compared across both routes",)
     return SuiteResult(
         "gs-s3-exhaustive", len(cases), tuple(failures[:MAX_REPORTED_FAILURES]), notes
     )
 
 
-def suite_two_element_s4(count: int | None = None, seed: int = 0, threads: int | None = None) -> SuiteResult:
+def suite_two_element_s4(count: int | None = None, seed: int = 0) -> SuiteResult:
     """On every pair from the rank-4 symmetric group the three two-element
     properties agree, splitting 72 related / 204 unrelated."""
     s4 = _s(4)
@@ -364,7 +334,7 @@ def suite_two_element_s4(count: int | None = None, seed: int = 0, threads: int |
             )
         return rep.reflection_route, None
 
-    outcomes = map_cases(run_one, pairs, threads)
+    outcomes = [run_one(pair) for pair in pairs]
     failures = [msg for _, msg in outcomes if msg is not None]
     related = sum(1 for flag, _ in outcomes if flag)
     checks = len(pairs) + 1
@@ -378,7 +348,7 @@ def suite_two_element_s4(count: int | None = None, seed: int = 0, threads: int |
     )
 
 
-def suite_fano(count: int | None = None, seed: int = 0, threads: int | None = None) -> SuiteResult:
+def suite_fano(count: int | None = None, seed: int = 0) -> SuiteResult:
     """On the 4032-element subset avoiding the seven lines of the order-2
     projective plane, the greedy-confirmed order route agrees with the
     greedy route at every one of the 5040 base elements."""
@@ -398,8 +368,7 @@ def suite_fano(count: int | None = None, seed: int = 0, threads: int | None = No
             return f"u={list(u.window)}: {list(got.window)} vs {list(greedy.window)}"
         return None
 
-    outcomes = map_cases(run_one, us, threads)
-    failures.extend(o for o in outcomes if o is not None)
+    failures.extend(o for o in map(run_one, us) if o is not None)
     checks += len(us)
     return SuiteResult(
         "fano", checks, tuple(failures[:MAX_REPORTED_FAILURES]),
@@ -407,7 +376,7 @@ def suite_fano(count: int | None = None, seed: int = 0, threads: int | None = No
     )
 
 
-def suite_fan_figures(count: int | None = None, seed: int = 0, threads: int | None = None) -> SuiteResult:
+def suite_fan_figures(count: int | None = None, seed: int = 0) -> SuiteResult:
     """Fans of the two demo tables: strong convexity, member fibers, the
     common lineality line of the second, and query behavior on and off
     merged walls; a deliberately inconsistent table must be rejected."""
@@ -483,12 +452,7 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 }
 
 
-def run_suite(
-    name: str,
-    count: int | None = None,
-    seed: int = 0,
-    threads: int | None = None,
-) -> SuiteResult:
+def run_suite(name: str, count: int | None = None, seed: int = 0) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; know {sorted(SUITES)}")
-    return SUITES[name](count=count, seed=seed, threads=threads)
+    return SUITES[name](count=count, seed=seed)

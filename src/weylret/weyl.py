@@ -369,6 +369,14 @@ def bruhat_leq(v: SignedPermutation, w: SignedPermutation) -> bool:
 
 # --- The linear order <=^u on window letters ------------------------------
 
+def factor_extended_window(f: Factor, loc: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of one factor's local window in the order <=^u:
+    loc for type A, loc followed by its negated reversal for BC/D."""
+    if f.type is WeylType.A:
+        return loc
+    return loc + tuple(-v for v in reversed(loc))
+
+
 def extended_window(u: SignedPermutation) -> tuple[int, ...]:
     """u(1)..u(n) for type A; u(1)..u(n)u(nbar)..u(1bar) for BC/D.
 
@@ -377,22 +385,7 @@ def extended_window(u: SignedPermutation) -> tuple[int, ...]:
     """
     if len(u.group.factors) != 1:
         raise ValueError("extended window is defined per factor")
-    f = u.group.factors[0]
-    if f.type is WeylType.A:
-        return u.window
-    return u.window + tuple(-v for v in reversed(u.window))
-
-
-def u_leq(i: int, j: int, u: SignedPermutation) -> bool:
-    """i <=^u j: i occurs no later than j in the extended window of u."""
-    ext = extended_window(u)
-    rank = u.group.factors[0].rank
-    for x in (i, j):
-        if x == 0 or abs(x) > rank:
-            raise ValueError(f"letter {x} out of range")
-        if u.group.factors[0].type is WeylType.A and x < 0:
-            raise ValueError(f"type A has no barred letter {x}")
-    return ext.index(i) <= ext.index(j)
+    return factor_extended_window(u.group.factors[0], u.window)
 
 
 def letter_positions(u: SignedPermutation) -> dict[int, int]:

@@ -270,6 +270,30 @@ def test_singular_matrix_exits_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fixed-points", "--matrix", '[["1","2","3"],["4","5","6"]]'),
+        (
+            "matroid", "polytope", "--group", "A4", "--subset",
+            "[[1,2,3,4,5],[2,1,3,4,5],[1,3,2,4,5],[1,2,4,3,5],[1,2,3,5,4]]",
+        ),
+        ("sample", "--n", "0", "--seed", "0"),
+    ],
+    ids=["non-square", "polytope-dim-4", "sample-n-0"],
+)
+def test_unsupported_inputs_exit_4(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_verify_threads_option_is_gone(capsys):
+    assert main(["verify", "table1", "--threads", "2"]) == 3
+
+
 # --- verify -----------------------------------------------------------------
 
 

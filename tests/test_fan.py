@@ -95,6 +95,13 @@ def test_query_interior(fan1, s3):
     assert sorted(u.window for u in res.chambers) == [(2, 1, 3), (2, 3, 1)]
 
 
+def test_query_raises_when_target_cone_misses_point(fan1, s3, monkeypatch):
+    wrong = next(c for c in fan1.cones if c.target.window != (2, 1, 3))
+    monkeypatch.setattr(type(fan1), "cone_for", lambda self, target: wrong)
+    with pytest.raises(AssertionError, match="outside the cone"):
+        query(fan1, (1, -2, 1))
+
+
 def test_query_generic_point_every_chamber(fan1, fan2, s3):
     from weylret.orbit import weight_for_chamber
 

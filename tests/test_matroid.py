@@ -1,10 +1,18 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import weylret
 from oracles import covering_closure, oracle_leq
-from weylret.errors import BoundaryPoint, PreconditionError
+from weylret.errors import BoundaryPoint, NotAMatroidAt, PreconditionError
 from weylret.matroid import (
     bruhat_interval,
     default_base_point,
@@ -16,7 +24,7 @@ from weylret.matroid import (
     set_order_leq,
     two_element_analysis,
 )
-from weylret.retraction import SubsetM
+from weylret.retraction import SubsetM, matroid_retract
 from weylret.weyl import (
     GroupDescriptor,
     SignedPermutation,
@@ -215,3 +223,76 @@ def test_two_element_hand_values(s4):
     rep = two_element_analysis(x, y)
     assert rep.agree
     assert rep.closest_route and rep.matroid_route and rep.reflection_route
+
+
+# --- one extremum scan behind both callers ----------------------------------
+
+_SMALL_GROUPS = [
+    GroupDescriptor.simple(WeylType.A, 3),
+    GroupDescriptor.simple(WeylType.BC, 2),
+    GroupDescriptor.simple(WeylType.D, 3),
+]
+
+
+@st.composite
+def small_subsets(draw):
+    group = draw(st.sampled_from(_SMALL_GROUPS))
+    pool = list(elements(group))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+    return SubsetM(group, tuple(picks))
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=small_subsets(), side=st.sampled_from(("min", "max")))
+def test_verdict_failures_are_exactly_the_retract_failures(M, side):
+    failures = {
+        u.window: tuple(v.window for v in ext)
+        for u, ext in is_coxeter_matroid(M, side=side).failures
+    }
+    raised = {}
+    for u in elements(M.group):
+        try:
+            matroid_retract(M, u, side=side, greedy_first=False)
+        except NotAMatroidAt as exc:
+            raised[u.window] = tuple(v.window for v in exc.minimals)
+    assert raised == failures
+
+
+# --- invariants survive python -O --------------------------------------------
+
+
+def test_phi_vertex_invariant_raises_under_optimize():
+    script = textwrap.dedent(
+        """
+        import weylret.matroid as m
+        from weylret.retraction import SubsetM
+        from weylret.weyl import GroupDescriptor, WeylType, elements
+
+        real = m.hull_edges
+
+        def drop_first_vertex(points):
+            verts, edges = real(points)
+            gone = verts[0]
+            return verts[1:], [e for e in edges if gone not in e]
+
+        m.hull_edges = drop_first_vertex
+        s4 = GroupDescriptor.simple(WeylType.A, 4)
+        try:
+            m.phi_polytope_check(SubsetM(s4, tuple(elements(s4))))
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            print("no raise")
+        print("debug:", __debug__)
+        """
+    )
+    src = str(Path(weylret.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "debug: False" in proc.stdout
+    assert "raised: regular orbit point was not a hull vertex" in proc.stdout

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import covering_closure, oracle_leq
-from weylret.errors import NotAMatroidAt, NotAProduct, ParseError
+from weylret.errors import DescriptorMismatch, NotAMatroidAt, NotAProduct, ParseError
 from weylret.retraction import (
     RetractionTable,
     SubsetM,
@@ -265,3 +265,12 @@ def test_table_retract_lookup(s3):
     table = retraction_table(demo)
     u = SignedPermutation(s3, (2, 3, 1))
     assert table.retract(u) == algebraic_retract(demo, u)
+
+
+def test_table_retract_rejects_other_groups(s3, s4, bc3):
+    demo1 = subset(s3, (1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2))
+    table = retraction_table(demo1)
+    for foreign in (bc3.identity(), s4.identity()):
+        with pytest.raises(DescriptorMismatch):
+            table.retract(foreign)
+    assert table.retract(s3.identity()).window == (1, 2, 3)
