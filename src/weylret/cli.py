@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotAMatroidAt, ParseError, WeylretError
+from .errors import NotAMatroidAt, ParseError, PreconditionError, WeylretError
 from .exact import RationalMatrix, parse_rational
 from .fan import build_fan, query
 from .matroid import (
@@ -98,11 +98,18 @@ def parse_group(text: str) -> GroupDescriptor:
     return GroupDescriptor(tuple(factors))
 
 
+def _letters(data) -> list[int]:
+    """A JSON window: a list of integers, with no floats, strings or booleans."""
+    if not isinstance(data, list) or not all(type(v) is int for v in data):
+        raise ParseError(f"bad window {data!r}: letters must be JSON integers")
+    return data
+
+
 def parse_window(group: GroupDescriptor, text: str) -> SignedPermutation:
-    data = _json_value(text)
+    data = _letters(_json_value(text))
     try:
-        return group.element([int(v) for v in data])
-    except (TypeError, ValueError) as exc:
+        return group.element(data)
+    except ValueError as exc:
         raise ParseError(f"bad window {data!r}: {exc}") from exc
 
 
@@ -110,9 +117,10 @@ def parse_subset(group: GroupDescriptor, text: str) -> SubsetM:
     data = _json_value(text)
     if not isinstance(data, list) or not data:
         raise ParseError("subset must be a nonempty JSON list of windows")
+    windows = [_letters(w) for w in data]
     try:
-        return SubsetM.from_windows(group, data)
-    except (TypeError, ValueError) as exc:
+        return SubsetM.from_windows(group, windows)
+    except ValueError as exc:
         raise ParseError(f"bad subset: {exc}") from exc
 
 
@@ -122,7 +130,7 @@ def parse_matrix(text: str) -> RationalMatrix:
         raise ParseError("matrix must be a nonempty JSON list of rows")
     try:
         return RationalMatrix.from_json(data)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix: {exc}") from exc
 
 
@@ -159,8 +167,10 @@ def _table_from_args(args):
     lib_method = {"greedy": "algebraic", "order": "matroid"}.get(method)
     if lib_method is None:
         raise ParseError("tables support methods greedy, order, limit")
+    if args.side != "min":
+        raise PreconditionError("a table fixes its targets, which needs --side min")
     M = _subset_from_args(args)
-    return retraction_table(M, method=lib_method, side=args.side)
+    return retraction_table(M, method=lib_method)
 
 
 def cmd_retract(args) -> int:

@@ -26,7 +26,7 @@ Rat = int | Fraction
 def parse_rational(text: str | int) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError
+from .errors import DescriptorMismatch, PreconditionError
 from .exact import Rat, hull_edges, lp_edge_feasible
 from .retraction import SubsetM, _extremal_set, algebraic_retract, closest_set
 from .retraction import _extremal_elements  # noqa: F401  (bench/spans.py traces the scan by this name)
@@ -238,9 +238,9 @@ class TwoElementReport:
 
 def two_element_analysis(x: SignedPermutation, y: SignedPermutation) -> TwoElementReport:
     if x.group != y.group:
-        raise ValueError("mixed groups")
+        raise DescriptorMismatch(f"{x.group} != {y.group}")
     if x.window == y.window:
-        raise ValueError("need two distinct elements")
+        raise PreconditionError("need two distinct elements")
     M = SubsetM(x.group, (x, y))
     closest_route = True
     for u in elements(x.group):

@@ -320,16 +320,16 @@ class RetractionTable:
 def retraction_table(
     M: SubsetM,
     method: str = "algebraic",
-    side: str = "min",
     greedy_first: bool | None = None,
 ) -> RetractionTable:
-    """Tabulate a retraction over the whole group."""
+    """Tabulate a retraction over the whole group.  Only side "min" fixes
+    M; side "max" at u is side "min" at u w0."""
     if method == "algebraic":
-        fn = lambda u: algebraic_retract(M, u, side=side)
+        fn = lambda u: algebraic_retract(M, u)
         provenance = "algebraic-greedy"
     elif method == "matroid":
-        fn = lambda u: matroid_retract(M, u, side=side, greedy_first=greedy_first)
-        provenance = f"matroid-{'minimum' if side == 'min' else 'maximum'}"
+        fn = lambda u: matroid_retract(M, u, greedy_first=greedy_first)
+        provenance = "matroid-minimum"
     else:
         raise ValueError(f"unknown method {method!r}")
     mapping = tuple((u, fn(u)) for u in elements(M.group))

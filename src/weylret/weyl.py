@@ -13,6 +13,10 @@ sign change on the last two coordinates (extra simple root e_{n-1} + e_n).
 Length is the number of positive roots sent to negative roots, which the
 test suite pins against breadth-first word length over these generators.
 
+Bruhat order uses two algorithms, neither with a cache: on A and BC, the
+sorted-prefix test on letter ranks in the order above; on D, a chain of
+lifting-property steps along right descents.
+
 A product group is stored as one concatenated window: the factor starting
 at offset t with rank r owns the letters t+1 .. t+r.
 """
@@ -285,16 +289,21 @@ def metric(v: SignedPermutation, w: SignedPermutation) -> int:
 
 # --- Bruhat order ---------------------------------------------------------
 
-def _bruhat_leq_a(v: Sequence[int], w: Sequence[int]) -> bool:
-    # Sorted-prefix dominance: v <= w iff for each k the increasing
-    # rearrangement of v(1..k) is entrywise <= that of w(1..k).
+def _bruhat_leq_prefix(v: Sequence[int], w: Sequence[int]) -> bool:
+    # Sorted-prefix dominance on the ranks of the letters in
+    # 1 < ... < n < nbar < ... < 1bar: v <= w iff for each k the increasing
+    # rearrangement of v(1..k) is entrywise <= that of w(1..k).  Type A is
+    # the tableau criterion; B_n is the restriction of the order on the
+    # permutations of that chain (Bjorner-Brenti, GTM 231, Cor. 8.1.9), and
+    # since w(ibar) is the bar of w(i), prefixes longer than n add nothing.
+    top = 2 * len(v) + 1
     sv: list[int] = []
     sw: list[int] = []
-    for k in range(len(v) - 1):
-        bisect.insort(sv, v[k])
-        bisect.insort(sw, w[k])
-        for a, b in zip(sv, sw):
-            if a > b:
+    for a, b in zip(v, w):
+        bisect.insort(sv, a if a > 0 else top + a)
+        bisect.insort(sw, b if b > 0 else top + b)
+        for x, y in zip(sv, sw):
+            if x > y:
                 return False
     return True
 
@@ -316,53 +325,38 @@ def _apply_simple(ftype: WeylType, win: tuple[int, ...], s: int) -> tuple[int, .
     return tuple(w)
 
 
-def _descent(ftype: WeylType, win: tuple[int, ...], s: int) -> bool:
-    """True when right multiplication by simple s shortens win."""
-    n = len(win)
-    if s < n - 1:
+def _descent_d(win: tuple[int, ...], s: int) -> bool:
+    """True when right multiplication by simple s shortens a type-D window."""
+    if s < len(win) - 1:
         a, b = win[s], win[s + 1]
-        if ftype is WeylType.A:
-            return a > b
         return (abs(a) < abs(b) and a < 0) or (abs(a) > abs(b) and b > 0)
-    if ftype is WeylType.BC:
-        return win[n - 1] < 0
-    a, b = win[n - 2], win[n - 1]
+    a, b = win[-2], win[-1]
     return (abs(a) < abs(b) and a < 0) or (abs(a) > abs(b) and b < 0)
 
 
-_SIGNED_BRUHAT_CACHE: dict[tuple, bool] = {}
-
-
-def _bruhat_leq_signed(ftype: WeylType, v: tuple[int, ...], w: tuple[int, ...]) -> bool:
+def _bruhat_leq_d(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
     # Lifting property: for s a right descent of w, v <= w iff
-    # (vs <= ws when s is a descent of v, else v <= ws).
-    if v == w:
-        return True
-    if _length_signed(ftype, v) >= _length_signed(ftype, w):
-        return False
-    key = (ftype, v, w)
-    cached = _SIGNED_BRUHAT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    nsimple = len(v) if ftype is not WeylType.A else len(v) - 1
-    s = next(s for s in range(nsimple) if _descent(ftype, w, s))
-    ws = _apply_simple(ftype, w, s)
-    if _descent(ftype, v, s):
-        res = _bruhat_leq_signed(ftype, _apply_simple(ftype, v, s), ws)
-    else:
-        res = _bruhat_leq_signed(ftype, v, ws)
-    _SIGNED_BRUHAT_CACHE[key] = res
-    return res
+    # (vs <= ws when s is a descent of v, else v <= ws).  Each step
+    # shortens w by one, so the chain ends within length(w) steps.
+    lv, lw = _length_signed(WeylType.D, v), _length_signed(WeylType.D, w)
+    while v != w:
+        if lv >= lw:
+            return False
+        s = next(s for s in range(len(w)) if _descent_d(w, s))
+        if _descent_d(v, s):
+            v = _apply_simple(WeylType.D, v, s)
+            lv -= 1
+        w = _apply_simple(WeylType.D, w, s)
+        lw -= 1
+    return True
 
 
 def bruhat_leq(v: SignedPermutation, w: SignedPermutation) -> bool:
     """Bruhat order; on products, the conjunction over factors."""
     _check_same_group(v, w)
     for f, lv, lw in zip(v.group.factors, v.local_windows(), w.local_windows()):
-        if f.type is WeylType.A:
-            if not _bruhat_leq_a(lv, lw):
-                return False
-        elif not _bruhat_leq_signed(f.type, lv, lw):
+        leq = _bruhat_leq_d if f.type is WeylType.D else _bruhat_leq_prefix
+        if not leq(lv, lw):
             return False
     return True
 

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylret.cli import main, parse_group
+from weylret.errors import ParseError
+from weylret.weyl import elements
 
 DEMO_1 = "[[1,1,0],[1,0,1],[1,0,0]]"
 DEMO_2 = "[[1,0,1],[0,1,0],[1,0,0]]"
@@ -263,6 +269,18 @@ def test_parse_errors_exit_3(capsys):
     assert code == 3  # subset without group
     code, _ = run(capsys, "verify", "no-such-suite")
     assert code == 3
+    # letters must be JSON integers, and no float survives into a rational
+    code, _ = run(
+        capsys, "retract", "--group", "A2", "--subset", "[[1.0,2.0,3.0]]",
+        "--at", "[1,2,3]", "--method", "closest",
+    )
+    assert code == 3
+    code, _ = run(capsys, "retract", "--group", "A2", "--subset", "[[1,2,3]]", "--at", "[1e400,2,3]")
+    assert code == 3
+    code, _ = run(capsys, "fixed-points", "--matrix", "[[1e400]]")
+    assert code == 3
+    code, _ = run(capsys, "fixed-points", "--matrix", "[1, 2]")
+    assert code == 3
 
 
 def test_singular_matrix_exits_4(capsys):
@@ -279,8 +297,10 @@ def test_singular_matrix_exits_4(capsys):
             "[[1,2,3,4,5],[2,1,3,4,5],[1,3,2,4,5],[1,2,4,3,5],[1,2,3,5,4]]",
         ),
         ("sample", "--n", "0", "--seed", "0"),
+        ("two-element", "--group", "A2", "--pair", "[[1,2,3],[1,2,3]]"),
+        ("table", "--group", "A2", "--subset", "[[1,2,3],[1,3,2]]", "--side", "max"),
     ],
-    ids=["non-square", "polytope-dim-4", "sample-n-0"],
+    ids=["non-square", "polytope-dim-4", "sample-n-0", "two-element-equal", "table-side-max"],
 )
 def test_unsupported_inputs_exit_4(capsys, argv):
     code = main(list(argv))
@@ -292,6 +312,77 @@ def test_unsupported_inputs_exit_4(capsys, argv):
 
 def test_verify_threads_option_is_gone(capsys):
     assert main(["verify", "table1", "--threads", "2"]) == 3
+
+
+# --- fuzz -------------------------------------------------------------------
+
+# Rank <= 3 only, so no draw enumerates a large group; a few tokens are bad.
+_GROUPS = ("A1", "A2", "A3", "BC2", "BC3", "D3", "A1xBC2", "A1xA1", "E8", "BC1", "A2x", "{")
+
+_LETTERS = st.integers(-4, 4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _LETTERS | st.sampled_from(["1/2", "-3", "1/0", "x", "", 1.0, 2.5]),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=12,
+)
+_WINDOW = st.lists(_LETTERS, min_size=1, max_size=4, unique_by=abs)
+_FRAGMENTS = st.one_of(
+    _JSON.map(json.dumps),
+    _WINDOW.map(json.dumps),
+    st.lists(_WINDOW, min_size=1, max_size=3).map(json.dumps),
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+    ).map(json.dumps),
+    st.sampled_from(["[[1,2", "{}", "nan", "[1e400]"]),
+)
+# Per command: its options, the required ones first, and its --method choices.
+_COMMANDS = {
+    ("two-element",): (("--group", "--pair"), (), ()),
+    ("matroid", "check"): ((), ("--group", "--subset", "--matrix", "--side"), ()),
+    ("retract",): (("--at",), ("--group", "--subset", "--matrix", "--method", "--side"),
+                   ("greedy", "order", "closest")),
+    ("fixed-points",): (("--matrix",), (), ()),
+    ("query",): (("--point",), ("--group", "--subset", "--matrix", "--method", "--side"),
+                 ("greedy", "order", "limit")),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional, methods = _COMMANDS[command]
+    token = draw(st.sampled_from(_GROUPS))
+    try:
+        pool = [list(w.window) for w in elements(parse_group(token))]
+    except ParseError:
+        pool = [[1, 2, 3]]
+    member = st.sampled_from(pool)
+    # a window option holds either members of the drawn group, so that the
+    # draw gets past parsing, or a fragment
+    values = {
+        "--group": st.just(token),
+        "--at": st.one_of(member.map(json.dumps), _FRAGMENTS),
+        "--pair": st.one_of(st.lists(member, min_size=2, max_size=2).map(json.dumps), _FRAGMENTS),
+        "--subset": st.one_of(st.lists(member, min_size=1, max_size=4).map(json.dumps), _FRAGMENTS),
+        "--method": st.sampled_from(methods),
+        "--side": st.sampled_from(("min", "max")),
+    }
+    # --matrix overrides --group and --subset, so an optional one is rare
+    kept = [f for f in optional if draw(st.integers(0, 3)) < (1 if f == "--matrix" else 3)]
+    argv = list(command)
+    for flag in required + tuple(kept):
+        argv += [flag, draw(values.get(flag, _FRAGMENTS))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=fuzz_argv())
+def test_cli_fuzz_exits_with_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
 
 
 # --- verify -----------------------------------------------------------------

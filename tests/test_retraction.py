@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import covering_closure, oracle_leq
 from weylret.errors import DescriptorMismatch, NotAMatroidAt, NotAProduct, ParseError
@@ -125,6 +127,41 @@ def test_greedy_on_product_group():
     got = algebraic_retract(M, u)
     assert got.window in {w.window for w in M}
     assert algebraic_retract(M, g.identity()).window == (1, 2, 3, 4)
+
+
+_PRODUCT_GROUPS = [
+    GroupDescriptor.simple(WeylType.A, 4),
+    GroupDescriptor.simple(WeylType.BC, 3),
+    GroupDescriptor.simple(WeylType.D, 3),
+    GroupDescriptor((Factor(WeylType.A, 3), Factor(WeylType.BC, 2))),
+]
+
+
+@st.composite
+def product_subsets(draw):
+    """A product of nonempty per-factor sets of local windows."""
+    group = draw(st.sampled_from(_PRODUCT_GROUPS))
+    pool = elements(group)
+    picks = []
+    for j in range(len(group.factors)):
+        local = sorted({w.local_windows()[j] for w in pool})
+        picks.append(set(draw(st.lists(st.sampled_from(local), min_size=1, max_size=4, unique=True))))
+    members = [w for w in pool if all(loc in p for loc, p in zip(w.local_windows(), picks))]
+    return SubsetM(group, tuple(members))
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=product_subsets(), side=st.sampled_from(("min", "max")))
+def test_greedy_fixes_members_and_is_idempotent(M, side):
+    # the maximum at u is the minimum at u w0, so side "max" fixes m at m w0
+    w0 = longest_element(M.group)
+    home = (lambda m: m) if side == "min" else (lambda m: compose(m, w0))
+    for m in M:
+        assert algebraic_retract(M, home(m), side=side) == m
+    for u in elements(M.group):
+        r = algebraic_retract(M, u, side=side)
+        assert r in M
+        assert algebraic_retract(M, home(r), side=side) == r
 
 
 # --- matroid route ----------------------------------------------------------

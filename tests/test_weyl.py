@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import bfs_lengths, covering_closure, oracle_leq
 from weylret.errors import (
@@ -207,7 +209,7 @@ def test_reflections_and_roots():
 
 @pytest.mark.parametrize(
     "typ,rank",
-    [("A", 3), ("A", 4), ("BC", 2), ("BC", 3), ("D", 3)],
+    [("A", 3), ("A", 4), ("BC", 2), ("BC", 3), ("BC", 4), ("D", 3), ("D", 4)],
 )
 def test_bruhat_vs_covering_closure(typ, rank):
     g = GroupDescriptor.simple(typ, rank)
@@ -242,6 +244,58 @@ def test_bruhat_hand_values(s3, bc2):
     assert not leq(bc2, (1, -2), (1, 2))
     assert not leq(bc2, (1, -2), (2, 1))
     assert leq(bc2, (2, 1), (-2, -1))
+
+
+# --- algebraic laws on random elements ------------------------------------
+
+_LAW_GROUPS = [
+    GroupDescriptor.simple(WeylType.A, 4),  # A3, that is S4
+    GroupDescriptor.simple(WeylType.BC, 3),
+    GroupDescriptor.simple(WeylType.D, 4),
+    mixed_group(),
+]
+
+
+@st.composite
+def element_triples(draw):
+    """Three elements of one group; the second is often the first times
+    a reflection, so that Bruhat-comparable pairs come up."""
+    group = draw(st.sampled_from(_LAW_GROUPS))
+    pool = elements(group)
+    v, w, x = (draw(st.sampled_from(pool)) for _ in range(3))
+    if draw(st.booleans()):
+        w = compose(v, draw(st.sampled_from(group.reflections())))
+    return v, w, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=element_triples())
+def test_group_axioms_property(triple):
+    v, w, x = triple
+    e = v.group.identity()
+    assert compose(compose(v, w), x) == compose(v, compose(w, x))
+    assert compose(e, v) == v == compose(v, e)
+    assert compose(v, inverse(v)) == e == compose(inverse(v), v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=element_triples())
+def test_length_and_metric_laws_property(triple):
+    v, w, _ = triple
+    assert length(v) == length(inverse(v))
+    assert metric(v, w) == metric(w, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=element_triples())
+def test_bruhat_antisymmetric_and_graded_property(triple):
+    v, w, _ = triple
+    if bruhat_leq(v, w) and bruhat_leq(w, v):
+        assert v == w
+    if bruhat_leq(v, w):
+        assert length(v) < length(w) or v == w
+    if v == w:
+        assert bruhat_leq(v, w)
 
 
 # --- chambers --------------------------------------------------------------
