@@ -98,10 +98,10 @@ def parse_group(text: str) -> GroupDescriptor:
     return GroupDescriptor(tuple(factors))
 
 
-def _letters(data) -> list[int]:
-    """A JSON window: a list of integers, with no floats, strings or booleans."""
-    if not isinstance(data, list) or not all(type(v) is int for v in data):
-        raise ParseError(f"bad window {data!r}: letters must be JSON integers")
+def _letters(data) -> list:
+    """A JSON window: a list, whose letters `GroupDescriptor.element` checks."""
+    if not isinstance(data, list):
+        raise ParseError(f"bad window {data!r}: not a JSON list")
     return data
 
 

@@ -3,8 +3,10 @@
 Everything here computes over Fraction (or plain int) with no floating
 point anywhere: determinants by fraction-free Bareiss elimination, cone
 membership by sign tests, LP feasibility by a phase-1 simplex with Bland's
-rule, and convex-hull edge enumeration by exact orientation tests after
-projecting to an integral coordinate chart of the affine hull.
+rule that pivots on integers (each constraint row is cleared of
+denominators first, and every division in a pivot is exact), and
+convex-hull edge enumeration by exact orientation tests after projecting
+to an integral coordinate chart of the affine hull.
 """
 
 from __future__ import annotations
@@ -225,71 +227,75 @@ def lp_feasible(
     dim: int,
 ) -> bool:
     """Exact feasibility of {x : <a,x> <= b for ineqs, <a,x> = b for eqs},
-    x free, via phase-1 simplex with Bland's rule."""
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    x free, via an integer-pivoting phase-1 simplex with Bland's rule."""
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     nslack = len(ineqs)
-    width = 2 * dim + nslack
-    for k, (coeffs, b) in enumerate(ineqs):
-        row = [Fraction(0)] * width
-        for i, a in enumerate(coeffs):
-            row[i] = Fraction(a)
-            row[dim + i] = -Fraction(a)
-        row[2 * dim + k] = Fraction(1)
+    # columns: x+ (dim), x- (dim), one slack per inequality
+    for k, (coeffs, b) in enumerate([*ineqs, *eqs]):
+        # times the lcm of its denominators: a positive scaling, so the
+        # constraint keeps its solution set
+        vals = [v if isinstance(v, int) else Fraction(v) for v in (*coeffs, b)]
+        mult = lcm(*(v.denominator for v in vals))
+        *a, c = [v.numerator * (mult // v.denominator) for v in vals]
+        a += [0] * (dim - len(a))
+        row = a + [-v for v in a] + [int(k == t) for t in range(nslack)]
+        if c < 0:
+            row, c = [-v for v in row], -c
         rows.append(row)
-        rhs.append(Fraction(b))
-    for coeffs, b in eqs:
-        row = [Fraction(0)] * width
-        for i, a in enumerate(coeffs):
-            row[i] = Fraction(a)
-            row[dim + i] = -Fraction(a)
-        rows.append(row)
-        rhs.append(Fraction(b))
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
+        rhs.append(c)
     return _phase1_feasible(rows, rhs)
 
 
-def _phase1_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
+def _phase1_feasible(rows: list[list[int]], rhs: list[int]) -> bool:
+    """Phase 1 on {A y = b, y >= 0} with b >= 0, pivoting on integers.
+
+    The tableau holds integers over one common denominator D > 0 (the last
+    pivot; Edmonds' scheme, as in lrs).  A pivot on (r, s) keeps row r and
+    maps every other row, the objective row included, to
+    (row * piv - row[s] * tab[r]) // D, an exact division by Sylvester's
+    identity; D then becomes piv.  Bland's rule picks the pivots.
+    """
     m = len(rows)
     if m == 0:
         return True
     width = len(rows[0])
     # one artificial per row, all basic at start
-    tab = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    tab = [rows[i] + [int(i == j) for j in range(m)] + [rhs[i]] for i in range(m)]
     basis = [width + i for i in range(m)]
     total = width + m
     # reduced-cost row for minimizing the artificial sum
-    obj = [Fraction(0)] * (total + 1)
-    for j in range(total + 1):
-        obj[j] = sum(tab[i][j] for i in range(m))
+    obj = [sum(col) for col in zip(*tab)]
     for j in range(width, total):
         obj[j] -= 1
+    denom = 1
     while True:
         enter = next((j for j in range(total) if obj[j] > 0), None)
         if enter is None:
             break
-        best: tuple[Fraction, int, int] | None = None
+        # ratio test rhs_i / a_i by cross-multiplying (every a_i > 0),
+        # ties to the smaller basis index
+        r = -1
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                cand = (ratio, basis[i], i)
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-        if best is None:
+            a = tab[i][enter]
+            if a > 0:
+                if r < 0:
+                    r = i
+                    continue
+                lhs, rhs_best = tab[i][-1] * tab[r][enter], tab[r][-1] * a
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[r]):
+                    r = i
+        if r < 0:
             raise AssertionError("phase-1 objective unbounded")
-        r = best[2]
-        piv = tab[r][enter]
-        tab[r] = [v / piv for v in tab[r]]
+        prow = tab[r]
+        piv = prow[enter]
         for i in range(m):
-            if i != r and tab[i][enter]:
+            if i != r:
                 f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tab[r])]
+                tab[i] = [(a * piv - f * b) // denom for a, b in zip(tab[i], prow)]
+        f = obj[enter]
+        obj = [(a * piv - f * b) // denom for a, b in zip(obj, prow)]
+        denom = piv
         basis[r] = enter
     return obj[-1] == 0
 
@@ -382,7 +388,7 @@ def hull_edges(points: Sequence[Sequence[Rat]]) -> tuple[list[int], list[tuple[i
     with intrinsic dimension at most 3.  Exact integer arithmetic; rational
     inputs are scaled to integers first."""
     if len(set(map(tuple, points))) != len(points):
-        raise ValueError("duplicate points")
+        raise PreconditionError("duplicate points")
     mult = lcm(*(Fraction(v).denominator for p in points for v in p)) if points else 1
     pts = [tuple(int(Fraction(v) * mult) for v in p) for p in points]
     if len(pts) == 1:
@@ -391,7 +397,7 @@ def hull_edges(points: Sequence[Sequence[Rat]]) -> tuple[list[int], list[tuple[i
     k = len(cols)
     idx = list(range(len(pts)))
     if k == 0:
-        raise ValueError("duplicate points")
+        raise PreconditionError("duplicate points")
     if k == 1:
         return _hull_1d([p[cols[0]] for p in pts], idx)
     proj = [tuple(p[c] for c in cols) for p in pts]

@@ -95,7 +95,7 @@ def orbit_points(
         )
     points = tuple(act_on_vector(w, nu) for w in M)
     if len(set(points)) != len(points):
-        raise ValueError(f"base point {nu} is not regular for this subset")
+        raise PreconditionError(f"base point {nu} is not regular for this subset")
     return points, nu
 
 

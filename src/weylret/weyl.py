@@ -110,7 +110,13 @@ class GroupDescriptor:
         return SignedPermutation(self, tuple(range(1, self.window_length + 1)))
 
     def element(self, window: Sequence[int]) -> "SignedPermutation":
-        return SignedPermutation(self, tuple(window))
+        """The element with this window; letters must be `int` (no bools,
+        floats or strings), so windows read from JSON are checked here."""
+        window = tuple(window)
+        bad = [v for v in window if type(v) is not int]
+        if bad:
+            raise ValueError(f"window letters must be integers, got {bad!r}")
+        return SignedPermutation(self, window)
 
     def simple_roots(self) -> tuple[tuple[int, ...], ...]:
         """Simple roots of the product system as integer vectors."""

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import drop_last, hull_edges_2d
-from weylret.errors import ParseError
+from weylret.errors import ParseError, PreconditionError
 from weylret.exact import (
     HalfspaceCone,
     Membership,
@@ -90,6 +92,21 @@ def test_matrix_json_round_trip():
     mat = RationalMatrix(((F(1, 2), F(-3)), (F(0), F(7, 5))))
     assert RationalMatrix.from_json(mat.to_json()) == mat
     assert mat.to_json() == [["1/2", "-3"], ["0", "7/5"]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.integers(0, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.fractions(max_denominator=50), min_size=n, max_size=n),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_matrix_json_round_trip_property(rows):
+    mat = RationalMatrix(tuple(map(tuple, rows)))
+    assert RationalMatrix.from_json(mat.to_json()) == mat
 
 
 # --- linear algebra --------------------------------------------------------
@@ -182,6 +199,58 @@ def test_lp_feasible_randomized_witness():
         assert lp_feasible(ineqs, eqs, dim)
 
 
+@pytest.mark.parametrize("big", [9, 10**12])
+def test_lp_feasible_farkas_infeasible(big):
+    # a Farkas certificate y (y >= 0 on the inequalities, any sign on the
+    # equalities) with y^T A = 0 and y^T b < 0 proves infeasibility; each
+    # system is built around one, its last row chosen to cancel the others
+    rng = random.Random(big)
+
+    def entry() -> Fraction:
+        # mixed denominators across and within rows
+        return F(rng.randint(-big, big), rng.randint(1, 7))
+
+    for trial in range(25):
+        dim = rng.randint(1, 4)
+        n_ineq, n_eq = rng.randint(1, 5), rng.randint(0, 2)
+        y = [F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(n_ineq)]
+        y[-1] = F(rng.randint(1, 5), rng.randint(1, 3))
+        y += [entry() or F(1) for _ in range(n_eq)]
+        rows = [[entry() for _ in range(dim)] for _ in range(n_ineq + n_eq - 1)]
+        rhs = [entry() for _ in rows]
+        last = n_ineq - 1
+        # rows are stored inequalities first, the free row at index `last`
+        rows.insert(last, [0] * dim)
+        rhs.insert(last, 0)
+        for c in range(dim):
+            rows[last][c] = -sum(y[k] * rows[k][c] for k in range(len(rows))) / y[last]
+        gap = F(rng.randint(1, big), rng.randint(1, 7))
+        rhs[last] = (-gap - sum(y[k] * rhs[k] for k in range(len(rows)))) / y[last]
+        assert all(sum(y[k] * rows[k][c] for k in range(len(rows))) == 0 for c in range(dim))
+        assert sum(y[k] * rhs[k] for k in range(len(rows))) == -gap
+        ineqs = [(tuple(rows[k]), rhs[k]) for k in range(n_ineq)]
+        eqs = [(tuple(rows[k]), rhs[k]) for k in range(n_ineq, n_ineq + n_eq)]
+        assert not lp_feasible(ineqs, eqs, dim), (ineqs, eqs)
+
+
+def test_lp_feasible_large_entries_witness():
+    # the converse at the same scale: a known solution keeps it feasible
+    rng = random.Random(5)
+    big = 10**12
+    for trial in range(25):
+        dim = rng.randint(1, 4)
+        x0 = [F(rng.randint(-big, big), rng.randint(1, 7)) for _ in range(dim)]
+        ineqs, eqs = [], []
+        for _ in range(rng.randint(1, 6)):
+            a = [F(rng.randint(-big, big), rng.randint(1, 7)) for _ in range(dim)]
+            val = sum(ai * xi for ai, xi in zip(a, x0))
+            if rng.random() < 0.3:
+                eqs.append((tuple(a), val))
+            else:
+                ineqs.append((tuple(a), val + F(rng.randint(0, big), rng.randint(1, 7))))
+        assert lp_feasible(ineqs, eqs, dim)
+
+
 # --- hulls -----------------------------------------------------------------
 
 
@@ -204,6 +273,12 @@ def test_hull_edges_degenerate():
     assert verts == [0] and edges == []
     with pytest.raises(ValueError):
         hull_edges([(0, 0), (0, 0)])
+
+
+def test_hull_edges_duplicates_are_a_precondition_error():
+    for pts in ([(0, 0), (0, 0)], [(1, 2, 3), (0, 0, 0), (1, 2, 3)]):
+        with pytest.raises(PreconditionError, match="duplicate points"):
+            hull_edges(pts)
 
 
 def test_hull_edges_square_with_center():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import weylret
 from oracles import covering_closure, oracle_leq
 from weylret.errors import BoundaryPoint, NotAMatroidAt, PreconditionError
+from weylret.exact import hull_edges, lp_edge_feasible
 from weylret.matroid import (
     bruhat_interval,
     default_base_point,
@@ -256,6 +257,35 @@ def test_verdict_failures_are_exactly_the_retract_failures(M, side):
         except NotAMatroidAt as exc:
             raised[u.window] = tuple(v.window for v in exc.minimals)
     assert raised == failures
+
+
+# --- the LP edge test against the hull, past the runtime cross-check ---------
+
+_ORBIT_GROUPS = [
+    GroupDescriptor.simple(WeylType.A, 4),
+    GroupDescriptor.simple(WeylType.BC, 3),
+    GroupDescriptor.simple(WeylType.D, 3),
+]
+
+
+@st.composite
+def orbit_subsets(draw):
+    group = draw(st.sampled_from(_ORBIT_GROUPS))
+    pool = list(elements(group))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12, unique=True))
+    return SubsetM(group, tuple(picks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=orbit_subsets())
+def test_lp_edge_feasible_equals_hull_edges_on_orbits(M):
+    # phi_polytope_check runs this on every pair only up to
+    # LP_CROSSCHECK_LIMIT points; here it runs on up to 12
+    points, _ = orbit_points(M)
+    _, edges = hull_edges(points)
+    edge_set = set(edges)
+    for i, j in itertools.combinations(range(len(points)), 2):
+        assert lp_edge_feasible(points, i, j) == ((i, j) in edge_set), (M, i, j)
 
 
 # --- invariants survive python -O --------------------------------------------

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weylret.errors import GiveUp, SingularMatrix, TieDetected
 from weylret.exact import RationalMatrix
@@ -150,3 +152,29 @@ def test_sample_rational_point_give_up():
 def test_sample_rational_point_bad_kind():
     with pytest.raises(ValueError):
         sample_rational_point(3, seed=1, kind="weird")
+
+
+@st.composite
+def invertible_matrices(draw):
+    """Random invertible 3x3 and 4x4 rational matrices; zeros are frequent,
+    so degenerate supports (small fixed-point sets) come up."""
+    n = draw(st.sampled_from((3, 4)))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=3),
+    )
+    mat = RationalMatrix(
+        tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    )
+    assume(mat.det() != 0)
+    return mat
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=invertible_matrices())
+def test_greedy_and_order_routes_agree_on_fixed_point_sets(x):
+    M = fixed_points(x)
+    greedy = retraction_table(M)
+    order = retraction_table(M, method="matroid")
+    assert greedy.targets == order.targets
+    assert greedy.mapping == order.mapping

@@ -297,6 +297,30 @@ def test_table_validation(s3):
         RetractionTable.from_json(broken)
 
 
+def test_from_json_refuses_non_integer_letters(s3):
+    # 1.0 and True pass the segment check (abs(1.0) == 1) but break compose
+    for bad in ([1.0, 2.0, 3.0], [True, 2, 3]):
+        with pytest.raises(ParseError, match="must be integers"):
+            SubsetM.from_json({"group": s3.to_json(), "elements": [bad]})
+    data = retraction_table(subset(s3, (1, 2, 3))).to_json()
+    for key in ("targets", "map"):
+        broken = dict(data)
+        if key == "targets":
+            broken["targets"] = [[1.0, 2.0, 3.0]]
+        else:
+            broken["map"] = [[u, [float(x) for x in v]] for u, v in data["map"]]
+        with pytest.raises(ParseError, match="must be integers"):
+            RetractionTable.from_json(broken)
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=product_subsets())
+def test_subset_and_table_json_round_trip_property(M):
+    assert SubsetM.from_json(M.to_json()) == M
+    table = retraction_table(M)
+    assert RetractionTable.from_json(table.to_json()) == table
+
+
 def test_table_retract_lookup(s3):
     demo = subset(s3, (1, 2, 3), (3, 2, 1))
     table = retraction_table(demo)

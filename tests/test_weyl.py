@@ -386,3 +386,27 @@ def test_group_json_round_trip():
         mixed_group(),
     ):
         assert GroupDescriptor.from_json(g.to_json()) == g
+
+
+@st.composite
+def descriptors(draw):
+    """Products of one to three factors of any type and a legal rank."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        typ = draw(st.sampled_from(list(WeylType)))
+        low = 1 if typ is WeylType.A else 2
+        factors.append(Factor(typ, draw(st.integers(low, 6))))
+    return GroupDescriptor(tuple(factors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=descriptors())
+def test_group_json_round_trip_property(g):
+    assert GroupDescriptor.from_json(g.to_json()) == g
+
+
+def test_element_refuses_non_integer_letters(s3):
+    assert s3.element([1, 2, 3]) == s3.identity()
+    for bad in ([1.0, 2.0, 3.0], [True, 2, 3], ["1", 2, 3], [1, 2, 3.0]):
+        with pytest.raises(ValueError, match="must be integers"):
+            s3.element(bad)
