@@ -9,16 +9,24 @@ Three routes onto a subset M:
   multiplied back by u, with `NotAMatroidAt` when uniqueness fails;
 * metric: the set of elements of M closest to u in the word metric.
 
-The order-theoretic route optionally confirms a greedy candidate first,
-which turns the quadratic minimal-set search into a linear dominance scan;
-a failed confirmation falls back to the full search, never to an error.
+The order and metric routes translate all of M at once: one lookup per u
+sends each letter a to u^-1(a), as its local letter for lengths and as its
+rank in 1 < ... < r < rbar < ... < 1bar for order, and one fancy-index of
+`SubsetM.windows_array` then gives every translate u^-1 v.  Lengths are
+vectorised counts over column pairs.  On groups with no D factor, Bruhat
+order becomes entrywise order of rows of sorted prefixes (the tableau
+criterion), so the extremal scan is a chunked Pareto test on integer rows
+and a greedy candidate is confirmed against M's distinct prefix sets.
+Groups with a D factor compare pairs through `bruhat_leq`.  The order
+route optionally confirms a greedy candidate first; a failed confirmation
+falls back to the full scan, never to an error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,7 +41,6 @@ from .weyl import (
     elements,
     factor_extended_window,
     inverse,
-    length,
     order_key,
 )
 
@@ -109,6 +116,20 @@ class SubsetM:
     def windows_array(self) -> np.ndarray:
         return np.array([w.window for w in self.elements], dtype=np.int64)
 
+    @cached_property
+    def prefix_sets(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per factor and level k = 1..rank, the distinct sets of the first
+        k letters of the members in that factor, one sorted row of window
+        letters per set.  Dominance tables depend only on these sets."""
+        out = []
+        for off, f in self.group.segments():
+            levels = []
+            for k in range(1, f.rank + 1):
+                sets = {tuple(sorted(w.window[off : off + k])) for w in self.elements}
+                levels.append(np.array(sorted(sets), dtype=np.int64))
+            out.append(tuple(levels))
+        return tuple(out)
+
     def to_json(self) -> dict:
         return {
             "group": self.group.to_json(),
@@ -124,14 +145,24 @@ class SubsetM:
             raise ParseError(f"bad subset payload: {exc}") from exc
 
 
+# Most (row, member) pairs one chunk of the extremal scan compares at once.
+_SCAN_BUDGET = 1 << 20
+
+
+def _check_base(M: SubsetM, u: SignedPermutation) -> None:
+    if u.group != M.group:
+        raise DescriptorMismatch(
+            f"base element {list(u.window)} of {u.group} is not in {M.group}"
+        )
+
+
 def algebraic_retract(
     M: SubsetM, u: SignedPermutation, side: str = "min"
 ) -> SignedPermutation:
     """Greedy retraction: per factor, repeatedly take the earliest (side
     "min") or latest ("max") still-extendable letter in the order u induces
     on window letters.  Needs M to be a product across factors."""
-    if u.group != M.group:
-        raise ValueError("base element from a different group")
+    _check_base(M, u)
     if len(M.group.factors) > 1 and not M.is_product:
         sizes = tuple(map(len, M.projections))
         raise NotAProduct(
@@ -151,36 +182,76 @@ def algebraic_retract(
     return SignedPermutation(M.group, tuple(win))
 
 
-def _all_type_a(group: GroupDescriptor) -> bool:
-    return len(group.factors) == 1 and group.factors[0].type is WeylType.A
+# --- The translated arrays ------------------------------------------------
+
+def _letter_lookups(u: SignedPermutation) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays indexed by a + N for each letter a = +-1..+-N: u^-1(a) as
+    a local letter of its factor, and as its rank in that factor's chain
+    1 < ... < r < rbar < ... < 1bar.  Since u^-1(u(i)) = i, they are read
+    straight off the window of u."""
+    n = len(u.window)
+    local = np.empty(n, dtype=np.int64)
+    top = np.empty(n, dtype=np.int64)
+    for off, f in u.group.segments():
+        local[off : off + f.rank] = np.arange(1, f.rank + 1)
+        top[off : off + f.rank] = 2 * f.rank + 1
+    at = np.array(u.window, dtype=np.int64)
+    to_local = np.zeros(2 * n + 1, dtype=np.int64)
+    to_rank = np.zeros(2 * n + 1, dtype=np.int64)
+    to_local[n + at], to_local[n - at] = local, -local
+    to_rank[n + at], to_rank[n - at] = local, top - local
+    return to_local, to_rank
 
 
-def _dominates_all_a(M: SubsetM, u: SignedPermutation, cand: SignedPermutation, side: str) -> bool:
-    # vectorized sorted-prefix dominance of u^-1 cand against all of u^-1 M
-    n = M.group.window_length
-    pos = np.empty(n + 1, dtype=np.int64)
-    pos[np.array(u.window)] = np.arange(1, n + 1)
-    x = pos[np.array(cand.window)]
-    X = pos[M.windows_array]
-    for k in range(1, n):
-        xp = np.sort(x[:k])
-        P = np.sort(X[:, :k], axis=1)
-        good = (P >= xp).all(axis=1) if side == "min" else (P <= xp).all(axis=1)
-        if not good.all():
-            return False
-    return True
+@lru_cache(maxsize=16)
+def _column_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the column pairs i < j of r columns; every caller
+    shares them, and they are only ever read."""
+    return np.triu_indices(r, 1)
+
+
+def _has_d_factor(group: GroupDescriptor) -> bool:
+    return any(f.type is WeylType.D for f in group.factors)
+
+
+def _sorted_prefix_rows(group: GroupDescriptor, ranks: np.ndarray) -> np.ndarray:
+    """One row per translate: the sorted rank prefixes k = 1..r of every
+    factor, concatenated.  On A and BC factors, w <= v in Bruhat order iff
+    row w <= row v entrywise (Bjorner-Brenti, GTM 231, Section 2.1 and
+    Cor. 8.1.9), the test `weyl._bruhat_leq_prefix` makes on one pair."""
+    cols = []
+    for off, f in group.segments():
+        for k in range(1, f.rank + 1):
+            cols.append(np.sort(ranks[:, off : off + k], axis=1))
+    return np.concatenate(cols, axis=1)
 
 
 def _dominates_all(M: SubsetM, u: SignedPermutation, cand: SignedPermutation, side: str) -> bool:
-    if _all_type_a(M.group):
-        return _dominates_all_a(M, u, cand, side)
-    iu = inverse(u)
-    ic = compose(iu, cand)
-    for v in M:
-        iv = compose(iu, v)
-        ok = bruhat_leq(ic, iv) if side == "min" else bruhat_leq(iv, ic)
-        if not ok:
-            return False
+    """Whether u^-1 cand lies below (side "min") or above ("max") every
+    translate u^-1 v.  Off D, the sorted rank prefix of the candidate is
+    compared with the column-wise extremum of M's translated prefix sets."""
+    if _has_d_factor(M.group):
+        iu = inverse(u)
+        ic = compose(iu, cand)
+        for v in M:
+            iv = compose(iu, v)
+            ok = bruhat_leq(ic, iv) if side == "min" else bruhat_leq(iv, ic)
+            if not ok:
+                return False
+        return True
+    n = len(u.window)
+    _, to_rank = _letter_lookups(u)
+    x = to_rank[n + np.array(cand.window, dtype=np.int64)]
+    for (off, _), levels in zip(M.group.segments(), M.prefix_sets):
+        for k, sets in enumerate(levels, start=1):
+            mine = np.sort(x[off : off + k])
+            theirs = np.sort(to_rank[n + sets], axis=1)
+            if side == "min":
+                ok = (mine <= theirs.min(axis=0)).all()
+            else:
+                ok = (mine >= theirs.max(axis=0)).all()
+            if not ok:
+                return False
     return True
 
 
@@ -188,29 +259,51 @@ def _extremal_elements(
     M: SubsetM, u: SignedPermutation, side: str
 ) -> tuple[SignedPermutation, ...]:
     """Elements of M whose translate u^-1 v is Bruhat-minimal (or -maximal)
-    within u^-1 M: the quadratic scan."""
-    iu = inverse(u)
-    translated = [(compose(iu, v), v) for v in M]
-    out = []
-    for tv, v in translated:
-        beaten = False
-        for tw, _ in translated:
-            if tw.window == tv.window:
-                continue
-            lower = bruhat_leq(tw, tv) if side == "min" else bruhat_leq(tv, tw)
-            if lower:
-                beaten = True
-                break
-        if not beaten:
-            out.append(v)
-    return tuple(out)
+    within u^-1 M: the quadratic scan.  Off D, it is a Pareto test on the
+    sorted-prefix rows, in chunks of rows that compare at most
+    `_SCAN_BUDGET` pairs at once."""
+    if _has_d_factor(M.group):
+        iu = inverse(u)
+        translated = [(compose(iu, v), v) for v in M]
+        out = []
+        for tv, v in translated:
+            beaten = False
+            for tw, _ in translated:
+                if tw.window == tv.window:
+                    continue
+                lower = bruhat_leq(tw, tv) if side == "min" else bruhat_leq(tv, tw)
+                if lower:
+                    beaten = True
+                    break
+            if not beaten:
+                out.append(v)
+        return tuple(out)
+    n = len(u.window)
+    _, to_rank = _letter_lookups(u)
+    rows = _sorted_prefix_rows(M.group, to_rank[n + M.windows_array])
+    cols = np.ascontiguousarray(rows.T)
+    below = np.less_equal if side == "min" else np.greater_equal
+    m = len(rows)
+    step = max(1, _SCAN_BUDGET // m)
+    keep = []
+    for lo in range(0, m, step):
+        chunk = rows[lo : lo + step]
+        # meets[c, j]: translate j lies below (side "max": above) chunk row c
+        meets = below(cols[0], chunk[:, :1])
+        for col in range(1, len(cols)):
+            meets &= below(cols[col], chunk[:, col : col + 1])
+        # distinct translates have distinct rows, so a row meets only itself
+        keep.extend(np.flatnonzero(meets.sum(axis=1) == 1) + lo)
+    return tuple(M.elements[i] for i in keep)
 
 
 def _extremal_set(
     M: SubsetM, u: SignedPermutation, side: str, greedy_first: bool
 ) -> tuple[SignedPermutation, ...]:
-    """The extremal elements at u: the greedy candidate alone when direct
-    dominance confirms it (product subsets only), else the quadratic scan."""
+    """The extremal elements at u: the greedy candidate alone when
+    `_dominates_all` confirms it (product subsets only), else the quadratic
+    scan `_extremal_elements`.  Off D both read the translated rank array
+    of u; groups with a D factor compare pairs through `bruhat_leq`."""
     if greedy_first and M.is_product:
         cand = algebraic_retract(M, u, side=side)
         if _dominates_all(M, u, cand, side):
@@ -222,17 +315,16 @@ def matroid_retract(
     M: SubsetM,
     u: SignedPermutation,
     side: str = "min",
-    greedy_first: bool | None = None,
+    greedy_first: bool = True,
 ) -> SignedPermutation:
     """The unique element of M whose translate u^-1 v is Bruhat-least
     (side "min") or -greatest ("max") in u^-1 M; raises `NotAMatroidAt`
-    listing the extremal elements when there is no unique one."""
-    if u.group != M.group:
-        raise ValueError("base element from a different group")
+    listing the extremal elements when there is no unique one.  With
+    `greedy_first`, a product M tries the confirmed greedy candidate before
+    the scan."""
+    _check_base(M, u)
     if side not in ("min", "max"):
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
-    if greedy_first is None:
-        greedy_first = M.is_product and len(M) >= 64
     extremal = _extremal_set(M, u, side, greedy_first)
     if len(extremal) == 1:
         return extremal[0]
@@ -243,11 +335,27 @@ def closest_set(
     M: SubsetM, u: SignedPermutation
 ) -> tuple[tuple[SignedPermutation, ...], int]:
     """Elements of M at minimal word-metric distance from u, with the
-    distance."""
-    iu = inverse(u)
-    dists = [(length(compose(iu, v)), v) for v in M]
-    best = min(d for d, _ in dists)
-    return tuple(v for d, v in dists if d == best), best
+    distance.  The length of each translate u^-1 v counts, over column pairs
+    i < j of a factor, the conditions of `weyl._length_signed`: the two of
+    them sum to [|a| > |b|] + 2 [|a| < |b| and a < 0] for letters a, b, so
+    on A the count is the inversion count; BC adds its bar count."""
+    _check_base(M, u)
+    n = len(u.window)
+    to_local, _ = _letter_lookups(u)
+    letters = to_local[n + M.windows_array]
+    dist = np.zeros(len(M), dtype=np.int64)
+    for off, f in M.group.segments():
+        seg = letters[:, off : off + f.rank]
+        i, j = _column_pairs(f.rank)
+        a, b = seg[:, i], seg[:, j]
+        over = np.abs(a) > np.abs(b)
+        dist += over.sum(axis=1)
+        if f.type is not WeylType.A:
+            dist += 2 * (~over & (a < 0)).sum(axis=1)
+        if f.type is WeylType.BC:
+            dist += (seg < 0).sum(axis=1)
+    best = int(dist.min())
+    return tuple(M.elements[i] for i in np.flatnonzero(dist == best)), best
 
 
 @dataclass(frozen=True)
@@ -320,7 +428,7 @@ class RetractionTable:
 def retraction_table(
     M: SubsetM,
     method: str = "algebraic",
-    greedy_first: bool | None = None,
+    greedy_first: bool = True,
 ) -> RetractionTable:
     """Tabulate a retraction over the whole group.  Only side "min" fixes
     M; side "max" at u is side "min" at u w0."""

@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import covering_closure, oracle_leq
+from weylret import retraction
 from weylret.errors import DescriptorMismatch, NotAMatroidAt, NotAProduct, ParseError
+from weylret.matroid import fano_matroid_s7
 from weylret.retraction import (
     RetractionTable,
     SubsetM,
+    _dominates_all,
+    _extremal_elements,
     algebraic_retract,
     closest_set,
     matroid_retract,
@@ -20,11 +24,13 @@ from weylret.weyl import (
     GroupDescriptor,
     SignedPermutation,
     WeylType,
+    bruhat_leq,
     compose,
     elements,
     inverse,
     letter_positions,
     longest_element,
+    metric,
 )
 
 
@@ -335,3 +341,81 @@ def test_table_retract_rejects_other_groups(s3, s4, bc3):
         with pytest.raises(DescriptorMismatch):
             table.retract(foreign)
     assert table.retract(s3.identity()).window == (1, 2, 3)
+
+
+def test_retractions_refuse_base_elements_of_other_groups(s3, s4, bc3):
+    # BC3 windows have the length of S3 windows, so only the group check
+    # stands between them and a translated array of the right shape
+    M = subset(s3, (1, 2, 3), (2, 1, 3), (3, 2, 1))
+    for foreign in (bc3.element((-1, 2, 3)), bc3.identity(), s4.identity()):
+        with pytest.raises(DescriptorMismatch):
+            algebraic_retract(M, foreign)
+        with pytest.raises(DescriptorMismatch):
+            matroid_retract(M, foreign)
+        with pytest.raises(DescriptorMismatch):
+            closest_set(M, foreign)
+
+
+# --- the translated-array kernels against scalar order and metric -------------
+
+_A, _BC, _D = WeylType.A, WeylType.BC, WeylType.D
+_KERNEL_GROUPS = [
+    GroupDescriptor((Factor(_A, 3),)),
+    GroupDescriptor((Factor(_A, 4),)),
+    GroupDescriptor((Factor(_BC, 2),)),
+    GroupDescriptor((Factor(_BC, 3),)),
+    GroupDescriptor((Factor(_A, 2), Factor(_BC, 2))),
+    GroupDescriptor((Factor(_A, 2), Factor(_D, 3))),
+]
+
+
+@st.composite
+def subsets_and_bases(draw):
+    group = draw(st.sampled_from(_KERNEL_GROUPS))
+    pool = elements(group)
+    members = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    return SubsetM(group, tuple(members)), draw(st.sampled_from(pool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=subsets_and_bases())
+def test_kernels_match_scalar_order_and_metric(case):
+    M, u = case
+    iu = inverse(u)
+    translated = [(compose(iu, v), v) for v in M]
+    for side in ("min", "max"):
+        def leq(x, y):
+            return bruhat_leq(x, y) if side == "min" else bruhat_leq(y, x)
+
+        expected = tuple(
+            v for tv, v in translated
+            if not any(tw != tv and leq(tw, tv) for tw, _ in translated)
+        )
+        assert _extremal_elements(M, u, side) == expected
+        for tc, c in translated:
+            assert _dominates_all(M, u, c, side) == all(leq(tc, tw) for tw, _ in translated)
+    dists = [metric(u, v) for v in M]
+    best = min(dists)
+    assert closest_set(M, u) == (tuple(v for v, d in zip(M, dists) if d == best), best)
+
+
+def test_extremal_scan_in_one_row_chunks(monkeypatch):
+    rng = random.Random(26)
+    cases = []
+    for g in (GroupDescriptor.simple(_A, 4), GroupDescriptor.simple(_BC, 3)):
+        pool = list(elements(g))
+        for _ in range(15):
+            M = SubsetM(g, tuple(rng.sample(pool, rng.randint(2, min(40, len(pool))))))
+            cases.append((M, rng.choice(pool)))
+    sides = ("min", "max")
+    whole = [_extremal_elements(M, u, side) for M, u in cases for side in sides]
+    monkeypatch.setattr(retraction, "_SCAN_BUDGET", 1)
+    assert [_extremal_elements(M, u, side) for M, u in cases for side in sides] == whole
+
+
+def test_fano_scan_agrees_with_greedy_first():
+    # the scan over all 4032 members runs in chunks of the default budget
+    M = fano_matroid_s7()
+    assert retraction._SCAN_BUDGET // len(M) < len(M)
+    u = elements(M.group)[1234]
+    assert matroid_retract(M, u, greedy_first=False) == matroid_retract(M, u)
