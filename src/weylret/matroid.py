@@ -8,9 +8,11 @@ test suite and the `verify` command:
 * polytope route: M is accepted when every edge of the convex hull of the
   orbit {w . nu : w in M} of a regular point nu is parallel to a root.
 
-A third route for the order itself: on types A and BC (not D) the shifted
-Bruhat order is equivalent to prefix-set dominance in the Gale order the
-base element induces, which `flag_order_leq` computes from scratch.
+A third route for the order itself: on types A and BC the shifted Bruhat
+order is equivalent to prefix-set dominance in the Gale order the base
+element induces, which `flag_order_leq` computes from scratch.  On D the
+order is still read off prefix sets, but Gale dominance alone is too weak:
+it also needs a parity condition (see `retraction._parity_keys`).
 """
 
 from __future__ import annotations
@@ -179,14 +181,14 @@ def flag_order_leq(
     v: SignedPermutation, w: SignedPermutation, u: SignedPermutation
 ) -> bool:
     """Prefix-set dominance route to u^-1 v <= u^-1 w, valid on types A and
-    BC; type D is rejected because its Bruhat order is not determined by
-    prefix sets alone."""
+    BC.  Type D is rejected: its Bruhat order is determined by prefix sets
+    too, but Gale dominance lacks the parity condition that D needs."""
     if v.group != w.group or v.group != u.group:
         raise ValueError("mixed groups")
     if len(u.group.factors) != 1:
         raise ValueError("flag order is defined per factor")
     if u.group.factors[0].type is WeylType.D:
-        raise ValueError("prefix-set dominance does not characterize type D")
+        raise ValueError("Gale dominance of prefix sets alone does not give type-D order")
     n = u.group.window_length
     # the full-window set still matters for signed letters, so k runs to n
     return all(

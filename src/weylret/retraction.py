@@ -13,13 +13,14 @@ The order and metric routes translate all of M at once: one lookup per u
 sends each letter a to u^-1(a), as its local letter for lengths and as its
 rank in 1 < ... < r < rbar < ... < 1bar for order, and one fancy-index of
 `SubsetM.windows_array` then gives every translate u^-1 v.  Lengths are
-vectorised counts over column pairs.  On groups with no D factor, Bruhat
-order becomes entrywise order of rows of sorted prefixes (the tableau
-criterion), so the extremal scan is a chunked Pareto test on integer rows
-and a greedy candidate is confirmed against M's distinct prefix sets.
-Groups with a D factor compare pairs through `bruhat_leq`.  The order
-route optionally confirms a greedy candidate first; a failed confirmation
-falls back to the full scan, never to an error.
+vectorised counts over column pairs.  Bruhat order becomes entrywise
+order of rows of sorted prefixes (the tableau criterion), plus, on D
+factors, a parity condition on integer keys of the prefixes; so the
+extremal scan is a chunked Pareto test on integer rows, and a greedy
+candidate is confirmed against M's distinct prefix sets and the keys of
+its members.  The order route optionally confirms a greedy candidate
+first; a failed confirmation falls back to the full scan, never to an
+error.
 """
 
 from __future__ import annotations
@@ -36,11 +37,8 @@ from .weyl import (
     GroupDescriptor,
     SignedPermutation,
     WeylType,
-    bruhat_leq,
-    compose,
     elements,
     factor_extended_window,
-    inverse,
     order_key,
 )
 
@@ -210,15 +208,13 @@ def _column_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(r, 1)
 
 
-def _has_d_factor(group: GroupDescriptor) -> bool:
-    return any(f.type is WeylType.D for f in group.factors)
-
-
 def _sorted_prefix_rows(group: GroupDescriptor, ranks: np.ndarray) -> np.ndarray:
     """One row per translate: the sorted rank prefixes k = 1..r of every
     factor, concatenated.  On A and BC factors, w <= v in Bruhat order iff
     row w <= row v entrywise (Bjorner-Brenti, GTM 231, Section 2.1 and
-    Cor. 8.1.9), the test `weyl._bruhat_leq_prefix` makes on one pair."""
+    Cor. 8.1.9), the test `weyl._bruhat_leq_prefix` makes on one pair.  On
+    D factors this is condition (i) of the order, and `_parity_keys` gives
+    condition (ii)."""
     cols = []
     for off, f in group.segments():
         for k in range(1, f.rank + 1):
@@ -226,23 +222,48 @@ def _sorted_prefix_rows(group: GroupDescriptor, ranks: np.ndarray) -> np.ndarray
     return np.concatenate(cols, axis=1)
 
 
+@lru_cache(maxsize=16)
+def _parity_table(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For D_r: per letter rank x = 0..2r, what the letter adds, at each
+    threshold t = 2..r, to three counts (letters of absolute value >= t,
+    barred letters of absolute value < t, barred letters of absolute value
+    >= t), shape (2r+1, 3, r-1); the first count of a full prefix, r+1-t;
+    and the mask of the (k, t) with k + t > r.  Shared and only read."""
+    x = np.arange(2 * r + 1)[:, None]
+    t = np.arange(2, r + 1)
+    high = (t <= x) & (x <= 2 * r + 1 - t)
+    barred = x > r
+    table = np.stack([high, barred & ~high, barred & high], axis=1).astype(np.int64)
+    return table, r + 1 - t, np.add.outer(np.arange(1, r), t) > r
+
+
+def _parity_keys(r: int, ranks: np.ndarray) -> np.ndarray:
+    """Keys of condition (ii) of Bruhat order on D_r, one row per row of
+    `ranks`, which holds the ranks of the first r - 1 letters of a D_r
+    factor.  For w <= v on D_r, (i) the sorted-prefix rows must meet and
+    (ii) at every prefix length k < r and threshold t = 2..r where both
+    prefixes hold all letters of absolute value >= t and the same number C
+    of barred letters of absolute value < t, they must hold the same parity
+    P of barred letters of absolute value >= t (the type-D refinement of
+    the tableau criterion, Bjorner-Brenti, GTM 231, Section 8.2).  The key
+    of (k, t) is -1 when the prefix is not full, else 2C + P, so (ii) fails
+    exactly where two keys differ in their last bit alone: x ^ y == 1.  A
+    prefix with k + t <= r is never full, so those pairs are left out."""
+    table, full, kept = _parity_table(r)
+    high, low_bars, high_bars = table[ranks].cumsum(axis=1).transpose(2, 0, 1, 3)
+    keys = np.where(high == full, 2 * low_bars + (high_bars & 1), -1)
+    return keys[:, kept]
+
+
 def _dominates_all(M: SubsetM, u: SignedPermutation, cand: SignedPermutation, side: str) -> bool:
     """Whether u^-1 cand lies below (side "min") or above ("max") every
-    translate u^-1 v.  Off D, the sorted rank prefix of the candidate is
-    compared with the column-wise extremum of M's translated prefix sets."""
-    if _has_d_factor(M.group):
-        iu = inverse(u)
-        ic = compose(iu, cand)
-        for v in M:
-            iv = compose(iu, v)
-            ok = bruhat_leq(ic, iv) if side == "min" else bruhat_leq(iv, ic)
-            if not ok:
-                return False
-        return True
+    translate u^-1 v: the sorted rank prefix of the candidate is compared
+    with the column-wise extremum of M's translated prefix sets, and on a D
+    factor its parity keys with those of every member."""
     n = len(u.window)
     _, to_rank = _letter_lookups(u)
     x = to_rank[n + np.array(cand.window, dtype=np.int64)]
-    for (off, _), levels in zip(M.group.segments(), M.prefix_sets):
+    for (off, f), levels in zip(M.group.segments(), M.prefix_sets):
         for k, sets in enumerate(levels, start=1):
             mine = np.sort(x[off : off + k])
             theirs = np.sort(to_rank[n + sets], axis=1)
@@ -252,6 +273,12 @@ def _dominates_all(M: SubsetM, u: SignedPermutation, cand: SignedPermutation, si
                 ok = (mine >= theirs.max(axis=0)).all()
             if not ok:
                 return False
+        if f.type is WeylType.D:
+            head = slice(off, off + f.rank - 1)
+            ranks = np.vstack((x[head], to_rank[n + M.windows_array[:, head]]))
+            keys = _parity_keys(f.rank, ranks)  # row 0: the candidate
+            if ((keys[1:] ^ keys[0]) == 1).any():
+                return False
     return True
 
 
@@ -259,29 +286,20 @@ def _extremal_elements(
     M: SubsetM, u: SignedPermutation, side: str
 ) -> tuple[SignedPermutation, ...]:
     """Elements of M whose translate u^-1 v is Bruhat-minimal (or -maximal)
-    within u^-1 M: the quadratic scan.  Off D, it is a Pareto test on the
-    sorted-prefix rows, in chunks of rows that compare at most
-    `_SCAN_BUDGET` pairs at once."""
-    if _has_d_factor(M.group):
-        iu = inverse(u)
-        translated = [(compose(iu, v), v) for v in M]
-        out = []
-        for tv, v in translated:
-            beaten = False
-            for tw, _ in translated:
-                if tw.window == tv.window:
-                    continue
-                lower = bruhat_leq(tw, tv) if side == "min" else bruhat_leq(tv, tw)
-                if lower:
-                    beaten = True
-                    break
-            if not beaten:
-                out.append(v)
-        return tuple(out)
+    within u^-1 M: the quadratic scan.  It is a Pareto test on the
+    sorted-prefix rows, with the parity keys of D factors alongside, in
+    chunks of rows that compare at most `_SCAN_BUDGET` pairs at once."""
     n = len(u.window)
     _, to_rank = _letter_lookups(u)
-    rows = _sorted_prefix_rows(M.group, to_rank[n + M.windows_array])
+    ranks = to_rank[n + M.windows_array]
+    rows = _sorted_prefix_rows(M.group, ranks)
     cols = np.ascontiguousarray(rows.T)
+    key_cols = [
+        col
+        for off, f in M.group.segments()
+        if f.type is WeylType.D
+        for col in np.ascontiguousarray(_parity_keys(f.rank, ranks[:, off : off + f.rank - 1]).T)
+    ]
     below = np.less_equal if side == "min" else np.greater_equal
     m = len(rows)
     step = max(1, _SCAN_BUDGET // m)
@@ -292,6 +310,8 @@ def _extremal_elements(
         meets = below(cols[0], chunk[:, :1])
         for col in range(1, len(cols)):
             meets &= below(cols[col], chunk[:, col : col + 1])
+        for keys in key_cols:
+            meets &= (keys ^ keys[lo : lo + step, None]) != 1
         # distinct translates have distinct rows, so a row meets only itself
         keep.extend(np.flatnonzero(meets.sum(axis=1) == 1) + lo)
     return tuple(M.elements[i] for i in keep)
@@ -302,8 +322,8 @@ def _extremal_set(
 ) -> tuple[SignedPermutation, ...]:
     """The extremal elements at u: the greedy candidate alone when
     `_dominates_all` confirms it (product subsets only), else the quadratic
-    scan `_extremal_elements`.  Off D both read the translated rank array
-    of u; groups with a D factor compare pairs through `bruhat_leq`."""
+    scan `_extremal_elements`.  Both read the translated rank array of u,
+    on every group type."""
     if greedy_first and M.is_product:
         cand = algebraic_retract(M, u, side=side)
         if _dominates_all(M, u, cand, side):

@@ -15,7 +15,11 @@ test suite pins against breadth-first word length over these generators.
 
 Bruhat order uses two algorithms, neither with a cache: on A and BC, the
 sorted-prefix test on letter ranks in the order above; on D, a chain of
-lifting-property steps along right descents.
+lifting-property steps along right descents.  The order route of
+`retraction` compares whole arrays instead: the sorted-prefix rows on
+every type, plus on D an integer parity criterion on prefixes
+(`retraction._parity_keys`); `_bruhat_leq_d` is the scalar reference that
+criterion is tested against.
 
 A product group is stored as one concatenated window: the factor starting
 at offset t with rank r owns the letters t+1 .. t+r.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -74,11 +78,17 @@ class Factor:
 @dataclass(frozen=True, slots=True)
 class GroupDescriptor:
     factors: tuple[Factor, ...]
+    # derived from factors once; not part of equality, hashing or JSON
+    _segments: tuple[tuple[int, Factor], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.factors:
             raise ValueError("descriptor needs at least one factor")
         object.__setattr__(self, "factors", tuple(self.factors))
+        offsets = itertools.accumulate((f.rank for f in self.factors), initial=0)
+        object.__setattr__(self, "_segments", tuple(zip(offsets, self.factors)))
 
     @classmethod
     def simple(cls, type: WeylType | str, rank: int) -> "GroupDescriptor":
@@ -96,12 +106,7 @@ class GroupDescriptor:
 
     def segments(self) -> tuple[tuple[int, Factor], ...]:
         """(offset, factor) pairs; the factor owns letters offset+1..offset+rank."""
-        out = []
-        t = 0
-        for f in self.factors:
-            out.append((t, f))
-            t += f.rank
-        return tuple(out)
+        return self._segments
 
     def order(self) -> int:
         return math.prod(f.order() for f in self.factors)
@@ -213,6 +218,8 @@ class SignedPermutation:
 
     def local_windows(self) -> tuple[tuple[int, ...], ...]:
         """Per-factor windows with letters renumbered to 1..rank."""
+        if len(self.group.factors) == 1:
+            return (self.window,)
         out = []
         for off, f in self.group.segments():
             seg = self.window[off : off + f.rank]

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from weylret.weyl import (
     GroupDescriptor,
     SignedPermutation,
     WeylType,
+    _bruhat_leq_d,
     bruhat_leq,
     compose,
     elements,
@@ -366,6 +368,8 @@ _KERNEL_GROUPS = [
     GroupDescriptor((Factor(_BC, 3),)),
     GroupDescriptor((Factor(_A, 2), Factor(_BC, 2))),
     GroupDescriptor((Factor(_A, 2), Factor(_D, 3))),
+    GroupDescriptor((Factor(_D, 4),)),
+    GroupDescriptor((Factor(_BC, 2), Factor(_D, 3))),
 ]
 
 
@@ -402,7 +406,8 @@ def test_kernels_match_scalar_order_and_metric(case):
 def test_extremal_scan_in_one_row_chunks(monkeypatch):
     rng = random.Random(26)
     cases = []
-    for g in (GroupDescriptor.simple(_A, 4), GroupDescriptor.simple(_BC, 3)):
+    for g in (GroupDescriptor.simple(_A, 4), GroupDescriptor.simple(_BC, 3),
+              GroupDescriptor.simple(_D, 4)):
         pool = list(elements(g))
         for _ in range(15):
             M = SubsetM(g, tuple(rng.sample(pool, rng.randint(2, min(40, len(pool))))))
@@ -419,3 +424,71 @@ def test_fano_scan_agrees_with_greedy_first():
     assert retraction._SCAN_BUDGET // len(M) < len(M)
     u = elements(M.group)[1234]
     assert matroid_retract(M, u, greedy_first=False) == matroid_retract(M, u)
+
+
+# --- the type-D order on integer rows against the lifting-property walk -------
+
+
+def _order_matrix(group, windows, parity=True):
+    """leq[i, j]: window i <= window j, read off the sorted-prefix rows and,
+    with `parity`, the parity keys of every D factor."""
+    n = group.window_length
+    _, to_rank = retraction._letter_lookups(group.identity())
+    ranks = to_rank[n + np.array(windows, dtype=np.int64)]
+    rows = retraction._sorted_prefix_rows(group, ranks)
+    leq = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
+    for off, f in group.segments():
+        if parity and f.type is _D:
+            keys = retraction._parity_keys(f.rank, ranks[:, off : off + f.rank - 1])
+            leq &= ((keys[:, None, :] ^ keys[None, :, :]) != 1).all(axis=2)
+    return leq
+
+
+@pytest.mark.parametrize("group", [
+    GroupDescriptor.simple(_D, 2),
+    GroupDescriptor.simple(_D, 3),
+    GroupDescriptor.simple(_D, 4),
+    GroupDescriptor((Factor(_A, 1), Factor(_D, 3))),
+], ids=str)
+def test_d_order_rows_match_lifting_walk_on_every_pair(group):
+    pool = elements(group)
+    windows = [w.window for w in pool]
+    if len(group.factors) == 1:
+        expected = [[_bruhat_leq_d(v, w) for w in windows] for v in windows]
+    else:
+        expected = [[bruhat_leq(v, w) for w in pool] for v in pool]
+    assert (_order_matrix(group, windows) == np.array(expected)).all()
+
+
+def test_d_order_needs_the_parity_condition():
+    group = GroupDescriptor.simple(_D, 4)
+    windows = [w.window for w in elements(group)]
+    expected = np.array([[_bruhat_leq_d(v, w) for w in windows] for v in windows])
+    prefix_only = _order_matrix(group, windows, parity=False)
+    # the sorted-prefix rows alone give the order of B4 restricted to D4
+    assert (prefix_only >= expected).all()
+    assert (prefix_only & ~expected).sum() == 754
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_d_order_rows_match_lifting_walk_on_b_comparable_pairs(r):
+    rng = random.Random(r)
+    group = GroupDescriptor.simple(_D, r)
+
+    def draw():
+        win = [a * rng.choice((1, -1)) for a in rng.sample(range(1, r + 1), r)]
+        if sum(v < 0 for v in win) % 2:
+            win[-1] = -win[-1]
+        return tuple(win)
+
+    pairs, rejected = 0, 0
+    while pairs < 400:
+        v, w = draw(), draw()
+        if not _order_matrix(group, [v, w], parity=False)[0, 1]:
+            continue
+        pairs += 1
+        expected = _bruhat_leq_d(v, w)
+        rejected += not expected
+        assert _order_matrix(group, [v, w])[0, 1] == expected, (v, w)
+    # B-comparable pairs that D rejects do occur, so condition (ii) was tested
+    assert rejected > 0
