@@ -18,9 +18,12 @@ from .errors import (
     WeylretError,
 )
 from .exact import (
+    Facet,
     HalfspaceCone,
+    Hull,
     Membership,
     RationalMatrix,
+    certifies_edge,
     cone_membership,
     format_rational,
     hull_edges,

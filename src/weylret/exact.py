@@ -1,24 +1,25 @@
-"""Exact rational linear algebra, feasibility LP and small-dimension hulls.
+"""Exact rational linear algebra, feasibility LP and convex hulls.
 
 Everything here computes over Fraction (or plain int) with no floating
 point anywhere: determinants by fraction-free Bareiss elimination, cone
 membership by sign tests, LP feasibility by a phase-1 simplex with Bland's
 rule that pivots on integers (each constraint row is cleared of
-denominators first, and every division in a pivot is exact), and
-convex-hull edge enumeration by exact orientation tests after projecting
-to an integral coordinate chart of the affine hull.
+denominators first, and every division in a pivot is exact), and convex
+hulls in any dimension by integer double description after projecting to
+an integral coordinate chart of the affine hull.  Each facet carries the
+bitmask of the points on it; vertices and edges are read off those masks,
+and an edge is certified by the sum of the normals of its facets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from typing import Sequence
-
-import numpy as np
+from operator import and_
+from typing import NamedTuple, Sequence
 
 from .errors import ParseError, PreconditionError
 
@@ -316,95 +317,176 @@ def lp_edge_feasible(points: Sequence[Sequence[Rat]], i: int, j: int) -> bool:
     return lp_feasible(ineqs, eqs, dim)
 
 
-# --- Convex hull edges in intrinsic dimension <= 3 ------------------------
+# --- Convex hulls by double description ------------------------------------
 
-def _independent_columns(pts: list[tuple[int, ...]]) -> list[int]:
-    diffs = [[p[c] - pts[0][c] for c in range(len(pts[0]))] for p in pts[1:]]
-    if not diffs:
-        return []
-    _, pivots = rref(diffs)
-    return pivots
+class Facet(NamedTuple):
+    """normal . p <= offset on every point, with equality exactly on the
+    points whose bits are set in mask."""
 
-
-def _hull_1d(vals: list[int], idx: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    lo = min(range(len(vals)), key=vals.__getitem__)
-    hi = max(range(len(vals)), key=vals.__getitem__)
-    return sorted((idx[lo], idx[hi])), [(min(idx[lo], idx[hi]), max(idx[lo], idx[hi]))]
+    normal: tuple[int, ...]
+    offset: Rat
+    mask: int
 
 
-def _cross2(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+@dataclass(frozen=True)
+class Hull:
+    """Vertex indices, edge pairs (i < j) and facets of the convex hull of
+    indexed points; unpacks as (vertices, edges)."""
+
+    vertices: list[int]
+    edges: list[tuple[int, int]]
+    facets: tuple[Facet, ...]
+
+    def __iter__(self):
+        return iter((self.vertices, self.edges))
+
+    def edge_certificate(self, i: int, j: int) -> tuple[tuple[int, ...], Rat]:
+        """(normal, offset): the sum of the facets through points i and j.
+        It is tight exactly on the smallest face that holds both, which is
+        the whole hull when no facet does; on an edge [i, j] with no other
+        point on it, exactly on {i, j}."""
+        through = [f for f in self.facets if f.mask >> i & 1 and f.mask >> j & 1]
+        dim = len(self.facets[0].normal)
+        normal = tuple(sum(f.normal[c] for f in through) for c in range(dim))
+        return normal, sum(f.offset for f in through)
 
 
-def _hull_2d(pts: list[tuple[int, int]], idx: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    # monotone chain with strict turns, so collinear boundary points are
-    # reported as non-vertices
-    order = sorted(range(len(pts)), key=lambda k: pts[k])
-    chain: list[int] = []
-    for half in (order, order[::-1]):
-        base = len(chain)
-        for k in half:
-            while len(chain) - base >= 2 and _cross2(pts[chain[-2]], pts[chain[-1]], pts[k]) <= 0:
-                chain.pop()
-            chain.append(k)
-        chain.pop()
-    verts = [idx[k] for k in chain]
-    edges = {tuple(sorted((verts[t], verts[(t + 1) % len(verts)]))) for t in range(len(verts))}
-    return sorted(verts), sorted(edges)  # type: ignore[arg-type]
+def certifies_edge(
+    points: Sequence[Sequence[Rat]], i: int, j: int, normal: Sequence[Rat], offset: Rat
+) -> bool:
+    """True when normal . p equals offset at points i and j and is smaller
+    at every other point, which proves [i, j] an edge of their hull."""
+    for k, p in enumerate(points):
+        v = _dot(normal, p)
+        if v > offset or (v == offset) != (k == i or k == j):
+            return False
+    return True
 
 
-def _hull_3d(pts: list[tuple[int, ...]], idx: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    arr = np.array(pts, dtype=np.int64)
-    npts = len(pts)
-    planes: dict[tuple, list[int]] = {}
-    for a, b, c in itertools.combinations(range(npts), 3):
-        u = arr[b] - arr[a]
-        v = arr[c] - arr[a]
-        normal = np.cross(u, v)
-        if not normal.any():
+def _independent_rows(rows: list[tuple[int, ...]]) -> list[int]:
+    """Indices of the first maximal linearly independent set of integer
+    rows, by fraction-free elimination."""
+    basis: list[tuple[int, tuple[int, ...]]] = []
+    keep = []
+    for k, row in enumerate(rows):
+        r = list(row)
+        for p, b in basis:
+            f = r[p]
+            if f:
+                r = [x * b[p] - f * y for x, y in zip(r, b)]
+        piv = next((c for c, x in enumerate(r) if x), None)
+        if piv is not None:
+            basis.append((piv, _primitive(r)))
+            keep.append(k)
+            if len(keep) == len(row):
+                break
+    return keep
+
+
+def _primitive(vec: list[int]) -> tuple[int, ...]:
+    g = gcd(*vec)
+    return tuple(v // g for v in vec)
+
+
+def _double_description(pts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+    """Facets of the hull of integer points that affinely span their space.
+
+    They are the extreme rays (a, b) of the cone {(a, b) : a . p <= b for
+    every point p}, each returned with the bitmask of the points it is
+    tight on.  Double description (Fukuda and Prodon 1996): start from the
+    simplicial cone of d + 1 affinely independent points, then add the
+    other points one at a time.  A new constraint keeps the rays it holds
+    on and combines each ray it cuts off with each ray strictly inside it,
+    when the two are adjacent: no third ray is tight on every point that
+    both are tight on.
+    """
+    d = len(pts[0])
+    rows = [(*p, -1) for p in pts]
+    start = _independent_rows(rows)
+    rays = []
+    for j in start:
+        # the generalized cross product of the other d rows: its dot with
+        # x is the determinant of those rows over x
+        others = [rows[k] for k in start if k != j]
+        ray = _primitive([
+            (-1) ** c * _bareiss_det([list(r[:c] + r[c + 1:]) for r in others])
+            for c in range(d + 1)
+        ])
+        if _dot(rows[j], ray) > 0:
+            ray = tuple(-v for v in ray)
+        rays.append((ray, sum(1 << k for k in start if k != j)))
+    done = set(start)
+    for k, row in enumerate(rows):
+        if k in done:
             continue
-        vals = (arr - arr[a]) @ normal
-        if (vals >= 0).all():
-            normal = -normal
-            vals = -vals
-        elif not (vals <= 0).all():
-            continue
-        members = np.flatnonzero(vals == 0)
-        key = (*integer_primitive(normal.tolist()), *sorted(members.tolist()))
-        planes.setdefault(key, members.tolist())
-    verts: set[int] = set()
-    edges: set[tuple[int, int]] = set()
-    for members in planes.values():
-        cols = _independent_columns([pts[k] for k in members])
-        proj = [tuple(pts[k][c] for c in cols) for k in members]
-        fverts, fedges = _hull_2d(proj, [idx[k] for k in members])  # type: ignore[arg-type]
-        verts.update(fverts)
-        edges.update(fedges)
-    return sorted(verts), sorted(edges)
+        bit = 1 << k
+        plus, minus, kept = [], [], []
+        for ray, mask in rays:
+            s = _dot(row, ray)
+            if s > 0:
+                plus.append((s, ray, mask))
+            elif s < 0:
+                minus.append((s, ray, mask))
+                kept.append((ray, mask))
+            else:
+                kept.append((ray, mask | bit))
+        masks = [mask for _, mask in rays]
+        for sp, rp, mp in plus:
+            for sm, rm, mm in minus:
+                common = mp & mm
+                if common.bit_count() < d - 1:
+                    continue
+                # rp and rm themselves always contain common
+                if sum(1 for m in masks if m & common == common) > 2:
+                    continue
+                ray = _primitive([sp * b - sm * a for a, b in zip(rp, rm)])
+                kept.append((ray, common | bit))
+        rays = kept
+    return rays
 
 
-def hull_edges(points: Sequence[Sequence[Rat]]) -> tuple[list[int], list[tuple[int, int]]]:
-    """Vertex indices and edge pairs of the convex hull of distinct points
-    with intrinsic dimension at most 3.  Exact integer arithmetic; rational
-    inputs are scaled to integers first."""
+def hull_edges(points: Sequence[Sequence[Rat]]) -> Hull:
+    """Vertices, edges and facets of the convex hull of distinct points in
+    any dimension.  Exact integer arithmetic: rational inputs are scaled to
+    integers, projected to an integral chart of their affine hull, and the
+    facets found by double description, each with the bitmask of the
+    points on it.  Every face is the intersection of the facets that
+    contain it (the whole hull for an empty family), so point i is a
+    vertex iff the facets through i meet in {i}, and vertices i, j span an
+    edge iff the facets through both meet, on vertices, in {i, j}."""
+    if not points:
+        raise PreconditionError("no points")
     if len(set(map(tuple, points))) != len(points):
         raise PreconditionError("duplicate points")
-    mult = lcm(*(Fraction(v).denominator for p in points for v in p)) if points else 1
+    mult = lcm(*(Fraction(v).denominator for p in points for v in p))
     pts = [tuple(int(Fraction(v) * mult) for v in p) for p in points]
-    if len(pts) == 1:
-        return [0], []
-    cols = _independent_columns(pts)
-    k = len(cols)
-    idx = list(range(len(pts)))
-    if k == 0:
-        raise PreconditionError("duplicate points")
-    if k == 1:
-        return _hull_1d([p[cols[0]] for p in pts], idx)
-    proj = [tuple(p[c] for c in cols) for p in pts]
-    if k == 2:
-        return _hull_2d(proj, idx)  # type: ignore[arg-type]
-    if k == 3:
-        if max(abs(v) for p in proj for v in p) > 10**5:
-            raise PreconditionError("coordinates too large for the int64 hull path")
-        return _hull_3d(proj, idx)
-    raise PreconditionError(f"intrinsic dimension {k} > 3 is not supported")
+    n = len(pts)
+    if n == 1:
+        return Hull([0], [], ())
+    # the chart: the first coordinates independent on the affine hull
+    cols = _independent_rows(list(zip(*([a - b for a, b in zip(p, pts[0])] for p in pts[1:]))))
+    rays = _double_description([tuple(p[c] for c in cols) for p in pts])
+    through: list[list[int]] = [[] for _ in range(n)]
+    for _, mask in rays:
+        for k in range(n):
+            if mask >> k & 1:
+                through[k].append(mask)
+    verts = [i for i in range(n) if reduce(and_, through[i], (1 << n) - 1) == 1 << i]
+    vmask = sum(1 << i for i in verts)
+    edges = []
+    for a, i in enumerate(verts):
+        for j in verts[a + 1:]:
+            meet = vmask
+            for mask in through[i]:
+                if mask >> j & 1:
+                    meet &= mask
+            if meet == (1 << i) | (1 << j):
+                edges.append((i, j))
+    facets = []
+    for ray, mask in rays:
+        normal = [0] * len(pts[0])
+        for c, v in zip(cols, ray):
+            normal[c] = v
+        offset = Fraction(ray[-1], mult) if mult > 1 else ray[-1]
+        facets.append(Facet(tuple(normal), offset, mask))
+    return Hull(verts, edges, tuple(facets))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DescriptorMismatch, PreconditionError
-from .exact import Rat, hull_edges, lp_edge_feasible
+from .exact import Rat, certifies_edge, hull_edges, lp_edge_feasible
 from .retraction import SubsetM, _extremal_set, algebraic_retract, closest_set
 from .retraction import _extremal_elements  # noqa: F401  (bench/spans.py traces the scan by this name)
 from .weyl import (
@@ -121,13 +121,16 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
     """Hull the orbit of a regular point and test every edge direction for
     parallelism with a root.
 
-    The combinatorial hull is cross-checked against `lp_edge_feasible`: on
-    every pair when the orbit has at most `LP_CROSSCHECK_LIMIT` points, and
-    on the offending edges otherwise, so a reported failure always carries
-    an LP certificate.
+    Each offending edge is certified by the sum of the normals of the
+    facets through it, checked by integer dot products to be tight on the
+    edge's two points alone, so a reported failure always carries a
+    certificate.  The combinatorial hull is also cross-checked against
+    `lp_edge_feasible` on every pair when the orbit has at most
+    `LP_CROSSCHECK_LIMIT` points.
     """
     points, nu = orbit_points(M, nu)
-    verts, edges = hull_edges(points)
+    hull = hull_edges(points)
+    verts, edges = hull
     # points of one orbit lie on a sphere, so each must come back a vertex
     if len(verts) != len(points):
         raise AssertionError("regular orbit point was not a hull vertex")
@@ -138,6 +141,12 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
         d = tuple(a - b for a, b in zip(points[i], points[j]))
         if not any(_collinear(d, beta) for beta in roots):
             offending.append((i, j))
+    for i, j in offending:
+        if not certifies_edge(points, i, j, *hull.edge_certificate(i, j)):
+            raise AssertionError(
+                f"offending pair ({list(members[i].window)},"
+                f" {list(members[j].window)}) fails its facet-normal certificate"
+            )
     if len(points) <= LP_CROSSCHECK_LIMIT:
         edge_set = set(edges)
         for i, j in itertools.combinations(range(len(points)), 2):
@@ -145,13 +154,6 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
                 raise AssertionError(
                     f"hull and LP disagree on pair ({list(members[i].window)},"
                     f" {list(members[j].window)})"
-                )
-    else:
-        for i, j in offending:
-            if not lp_edge_feasible(points, i, j):
-                raise AssertionError(
-                    f"offending pair ({list(members[i].window)},"
-                    f" {list(members[j].window)}) is not LP-certified"
                 )
     return PhiReport(
         not offending,

@@ -16,6 +16,7 @@ from .errors import AmbiguousBoundary, InconsistentLineality
 from .exact import Membership, RationalMatrix
 from .fan import build_fan, query
 from .matroid import (
+    bruhat_interval,
     fano_matroid_s7,
     flag_order_leq,
     is_coxeter_matroid,
@@ -110,6 +111,10 @@ def _s(n: int) -> GroupDescriptor:
 
 def _bc(n: int) -> GroupDescriptor:
     return GroupDescriptor.simple(WeylType.BC, n)
+
+
+def _d(n: int) -> GroupDescriptor:
+    return GroupDescriptor.simple(WeylType.D, n)
 
 
 def _sample_matrices(
@@ -283,6 +288,19 @@ def suite_matroid_equiv(count: int | None = None, seed: int = 0) -> SuiteResult:
     return SuiteResult("matroid-equiv", checks, tuple(failures[:MAX_REPORTED_FAILURES]))
 
 
+def _compare_routes(label: str, M: SubsetM, known: bool = False) -> str | None:
+    """A failure line when the order and polytope routes disagree on M, or
+    when M is a known Coxeter matroid that they reject."""
+    order_route = is_coxeter_matroid(M).is_matroid
+    hull_route = phi_polytope_check(M).is_phi
+    if order_route != hull_route or (known and not order_route):
+        return (
+            f"{label} {[list(w.window) for w in M]}:"
+            f" unique-extremum {order_route} vs root-parallel {hull_route}"
+        )
+    return None
+
+
 def suite_gs_s3_exhaustive(count: int | None = None, seed: int = 0) -> SuiteResult:
     """Unique-extremum and root-parallel-edge verdicts coincide: on every
     nonempty subset of the rank-3 symmetric group, plus seeded random
@@ -301,21 +319,44 @@ def suite_gs_s3_exhaustive(count: int | None = None, seed: int = 0) -> SuiteResu
     for _ in range(n_bc2):
         cases.append(("bc2", _random_subset(_bc(2), rng)))
 
-    def run_one(case: tuple[str, SubsetM]) -> str | None:
-        label, M = case
-        order_route = is_coxeter_matroid(M).is_matroid
-        hull_route = phi_polytope_check(M).is_phi
-        if order_route != hull_route:
-            return (
-                f"{label} {[list(w.window) for w in M]}:"
-                f" unique-extremum {order_route} vs root-parallel {hull_route}"
-            )
-        return None
-
-    failures = [o for o in map(run_one, cases) if o is not None]
+    failures = [o for o in (_compare_routes(*case) for case in cases) if o is not None]
     notes = (f"{len(cases)} subsets compared across both routes",)
     return SuiteResult(
         "gs-s3-exhaustive", len(cases), tuple(failures[:MAX_REPORTED_FAILURES]), notes
+    )
+
+
+def _random_interval(group: GroupDescriptor, rng: random.Random) -> SubsetM:
+    pool = list(elements(group))
+    while True:
+        lo, hi = rng.sample(pool, 2)
+        if bruhat_leq(hi, lo):
+            lo, hi = hi, lo
+        if bruhat_leq(lo, hi):
+            return SubsetM(group, bruhat_interval(lo, hi))
+
+
+def suite_gs_rank4(count: int | None = None, seed: int = 0) -> SuiteResult:
+    """Unique-extremum and root-parallel-edge verdicts coincide on seeded
+    random subsets of the rank-4 groups S5, BC4 and D4, and both routes
+    accept seeded Bruhat intervals in those groups."""
+    per_group = count if count is not None else 12
+    rng = random.Random(seed + 6)
+    cases: list[tuple[str, SubsetM, bool]] = []
+    for label, group in (("s5", _s(5)), ("bc4", _bc(4)), ("d4", _d(4))):
+        for _ in range(per_group):
+            cases.append((label, _random_subset(group, rng), False))
+        for _ in range(max(1, per_group // 2)):
+            cases.append((f"{label} interval", _random_interval(group, rng), True))
+
+    failures = [o for o in (_compare_routes(*case) for case in cases) if o is not None]
+    known = sum(1 for _, _, k in cases if k)
+    notes = (
+        f"{len(cases) - known} random subsets and {known} Bruhat intervals"
+        " compared across both routes",
+    )
+    return SuiteResult(
+        "gs-rank4", len(cases), tuple(failures[:MAX_REPORTED_FAILURES]), notes
     )
 
 
@@ -446,6 +487,7 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
     "thmB-random": suite_thmb_random,
     "matroid-equiv": suite_matroid_equiv,
     "gs-s3-exhaustive": suite_gs_s3_exhaustive,
+    "gs-rank4": suite_gs_rank4,
     "two-element-s4": suite_two_element_s4,
     "fano": suite_fano,
     "fan-figures": suite_fan_figures,

@@ -204,6 +204,18 @@ def test_matroid_check_and_polytope(capsys):
     assert offending == {frozenset({(1, 3, 2), (2, 1, 3)})}
 
 
+def test_matroid_polytope_in_rank_4_matches_matroid_check(capsys):
+    # an orbit of intrinsic dimension 4: the identity and its four
+    # adjacent transpositions
+    subset = "[[1,2,3,4,5],[2,1,3,4,5],[1,3,2,4,5],[1,2,4,3,5],[1,2,3,5,4]]"
+    code, poly = run(capsys, "matroid", "polytope", "--group", "A4", "--subset", subset)
+    assert code == 0
+    assert len(poly["vertices"]) == 5 and len(poly["edges"]) == 10
+    code, check = run(capsys, "matroid", "check", "--group", "A4", "--subset", subset)
+    assert code == 0
+    assert poly["is_phi"] == check["is_matroid"]
+
+
 def test_matroid_scan_agrees(capsys):
     code, data = run(
         capsys,
@@ -292,15 +304,11 @@ def test_singular_matrix_exits_4(capsys):
     "argv",
     [
         ("fixed-points", "--matrix", '[["1","2","3"],["4","5","6"]]'),
-        (
-            "matroid", "polytope", "--group", "A4", "--subset",
-            "[[1,2,3,4,5],[2,1,3,4,5],[1,3,2,4,5],[1,2,4,3,5],[1,2,3,5,4]]",
-        ),
         ("sample", "--n", "0", "--seed", "0"),
         ("two-element", "--group", "A2", "--pair", "[[1,2,3],[1,2,3]]"),
         ("table", "--group", "A2", "--subset", "[[1,2,3],[1,3,2]]", "--side", "max"),
     ],
-    ids=["non-square", "polytope-dim-4", "sample-n-0", "two-element-equal", "table-side-max"],
+    ids=["non-square", "sample-n-0", "two-element-equal", "table-side-max"],
 )
 def test_unsupported_inputs_exit_4(capsys, argv):
     code = main(list(argv))

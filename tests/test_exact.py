@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from weylret.exact import (
     Membership,
     RationalMatrix,
     canonical_subspace,
+    certifies_edge,
     cone_lineality,
     cone_membership,
     format_rational,
@@ -307,12 +310,87 @@ def test_hull_edges_permutohedron():
         assert len(nonzero) == 2 and nonzero[0] == -nonzero[1]
 
 
-def test_hull_edges_rejects_high_dimension():
+def test_hull_edges_4_simplex():
     pts = [tuple(int(i == j) for j in range(4)) for i in range(4)] + [
         (0, 0, 0, 0)
     ]
-    with pytest.raises(ValueError):
-        hull_edges(pts)
+    verts, edges = hull_edges(pts)
+    assert verts == [0, 1, 2, 3, 4]
+    assert edges == list(itertools.combinations(range(5), 2))
+
+
+def test_hull_edges_rejects_empty_input():
+    with pytest.raises(PreconditionError, match="no points"):
+        hull_edges([])
+
+
+def _signed_orbit(point, even):
+    # signed permutations of a point, with an even number of signs flipped
+    # when `even` (the type-D orbit)
+    out = []
+    for perm in itertools.permutations(point):
+        for signs in itertools.product((1, -1), repeat=len(point)):
+            if not (even and signs.count(-1) % 2):
+                out.append(tuple(s * v for s, v in zip(signs, perm)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "points, n_facets, n_edges, degree",
+    [
+        (list(itertools.permutations(range(4))), 14, 36, 3),
+        (list(itertools.permutations(range(5))), 30, 240, 4),
+        (_signed_orbit((1, 2, 3, 4), even=True), 48, 384, 4),
+        (_signed_orbit((1, 2, 3, 4), even=False), 80, 768, 4),
+    ],
+    ids=["S4", "S5", "D4", "BC4"],
+)
+def test_hull_face_counts_of_full_orbits(points, n_facets, n_edges, degree):
+    # orbits of regular points: simple polytopes with every point a vertex
+    hull = hull_edges(points)
+    assert hull.vertices == list(range(len(points)))
+    assert len(hull.facets) == n_facets
+    assert len(hull.edges) == n_edges
+    assert sorted(Counter(k for e in hull.edges for k in e).values()) == [degree] * len(points)
+    for f in hull.facets:
+        assert math.gcd(*f.normal, f.offset) == 1
+        on = {k for k, p in enumerate(points) if sum(a * b for a, b in zip(f.normal, p)) == f.offset}
+        assert on == {k for k in range(len(points)) if f.mask >> k & 1}
+        assert all(sum(a * b for a, b in zip(f.normal, p)) <= f.offset for p in points)
+
+
+def test_hull_edges_5_cube():
+    # in dimension 5, two rays that share d - 1 tight points need not be
+    # adjacent, so the double description needs its combinatorial test
+    pts = list(itertools.product((-1, 1), repeat=5))
+    hull = hull_edges(pts)
+    assert len(hull.vertices) == 32
+    assert len(hull.facets) == 10
+    assert len(hull.edges) == 80
+    assert all(sum(a != b for a, b in zip(pts[i], pts[j])) == 1 for i, j in hull.edges)
+
+
+def test_hull_facets_of_rational_points():
+    # offsets come back in the input's own scale
+    pts = [(F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 3))]
+    hull = hull_edges(pts)
+    assert sorted((f.normal, f.offset) for f in hull.facets) == [
+        ((-1, 0), 0), ((0, -1), 0), ((2, 3), 1),
+    ]
+    for i, j in hull.edges:
+        assert certifies_edge(pts, i, j, *hull.edge_certificate(i, j))
+
+
+def test_certifies_edge_rejects_non_edges():
+    square = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]
+    hull = hull_edges(square)
+    assert certifies_edge(square, 0, 1, *hull.edge_certificate(0, 1))
+    # a diagonal: no facet holds both ends, so the zero functional is tight
+    # everywhere
+    assert not certifies_edge(square, 0, 2, *hull.edge_certificate(0, 2))
+    # a functional that some other point exceeds
+    assert not certifies_edge(square, 0, 1, (0, 1), 0)
+    assert not certifies_edge(square, 0, 1, (0, -1), -1)
 
 
 def _no_three_collinear(pts) -> bool:

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import weylret
 from oracles import covering_closure, oracle_leq
 from weylret.errors import BoundaryPoint, NotAMatroidAt, PreconditionError
-from weylret.exact import hull_edges, lp_edge_feasible
+from weylret.exact import Hull, certifies_edge, hull_edges, lp_edge_feasible
 from weylret.matroid import (
     bruhat_interval,
     default_base_point,
@@ -26,6 +27,7 @@ from weylret.matroid import (
     two_element_analysis,
 )
 from weylret.retraction import SubsetM, matroid_retract
+from weylret.suites import run_suite
 from weylret.weyl import (
     GroupDescriptor,
     SignedPermutation,
@@ -261,18 +263,23 @@ def test_verdict_failures_are_exactly_the_retract_failures(M, side):
 
 # --- the LP edge test against the hull, past the runtime cross-check ---------
 
+# each group with the most members a drawn subset may have; the rank-4
+# groups stay at 10 so the all-pairs LP stays cheap
 _ORBIT_GROUPS = [
-    GroupDescriptor.simple(WeylType.A, 4),
-    GroupDescriptor.simple(WeylType.BC, 3),
-    GroupDescriptor.simple(WeylType.D, 3),
+    (GroupDescriptor.simple(WeylType.A, 4), 12),
+    (GroupDescriptor.simple(WeylType.BC, 3), 12),
+    (GroupDescriptor.simple(WeylType.D, 3), 12),
+    (GroupDescriptor.simple(WeylType.A, 5), 10),
+    (GroupDescriptor.simple(WeylType.BC, 4), 10),
+    (GroupDescriptor.simple(WeylType.D, 4), 10),
 ]
 
 
 @st.composite
-def orbit_subsets(draw):
-    group = draw(st.sampled_from(_ORBIT_GROUPS))
+def orbit_subsets(draw, cap=None):
+    group, most = draw(st.sampled_from(_ORBIT_GROUPS))
     pool = list(elements(group))
-    picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12, unique=True))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=cap or most, unique=True))
     return SubsetM(group, tuple(picks))
 
 
@@ -286,6 +293,40 @@ def test_lp_edge_feasible_equals_hull_edges_on_orbits(M):
     edge_set = set(edges)
     for i, j in itertools.combinations(range(len(points)), 2):
         assert lp_edge_feasible(points, i, j) == ((i, j) in edge_set), (M, i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=orbit_subsets(cap=60))
+def test_edge_certificates_are_tight_on_their_edge_alone(M):
+    points, _ = orbit_points(M)
+    hull = hull_edges(points)
+    edge_set = set(hull.edges)
+    for i, j in itertools.combinations(range(len(points)), 2):
+        normal, offset = hull.edge_certificate(i, j)
+        values = [sum(a * b for a, b in zip(normal, p)) for p in points]
+        tight = {k for k, v in enumerate(values) if v == offset}
+        assert max(values) == offset
+        assert (tight == {i, j}) == ((i, j) in edge_set), (M, i, j)
+        assert certifies_edge(points, i, j, normal, offset) == ((i, j) in edge_set)
+
+
+def test_phi_raises_on_a_failed_certificate(s4, monkeypatch):
+    # the zero functional is tight on all three points, not on the
+    # offending edge alone
+    monkeypatch.setattr(Hull, "edge_certificate", lambda self, i, j: ((0, 0, 0, 0), 0))
+    M = subset(s4, (1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3))
+    with pytest.raises(AssertionError, match="facet-normal certificate"):
+        phi_polytope_check(M)
+
+
+def test_gs_rank4_suite_small():
+    t0 = time.perf_counter()
+    res = run_suite("gs-rank4", count=2, seed=0)
+    secs = time.perf_counter() - t0
+    # 2 random subsets and 1 Bruhat interval in each of S5, BC4 and D4
+    assert res.passed, res.failures
+    assert res.checks == 9
+    assert secs < 10.0
 
 
 # --- invariants survive python -O --------------------------------------------
