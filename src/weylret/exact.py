@@ -1,14 +1,17 @@
 """Exact rational linear algebra, feasibility LP and convex hulls.
 
 Everything here computes over Fraction (or plain int) with no floating
-point anywhere: determinants by fraction-free Bareiss elimination, cone
-membership by sign tests, LP feasibility by a phase-1 simplex with Bland's
-rule that pivots on integers (each constraint row is cleared of
-denominators first, and every division in a pivot is exact), and convex
-hulls in any dimension by integer double description after projecting to
-an integral coordinate chart of the affine hull.  Each facet carries the
-bitmask of the points on it; vertices and edges are read off those masks,
-and an edge is certified by the sum of the normals of its facets.
+point anywhere, and the heavy loops run on integers: determinants by
+fraction-free Bareiss elimination; RREF, null spaces, ranks and canonical
+subspaces from one fraction-free Gauss-Jordan elimination on rows cleared
+of denominators; cone membership by sign tests; LP feasibility by a
+phase-1 simplex with Bland's rule that pivots on integers (each constraint
+row is cleared of denominators first, and every division in a pivot is
+exact); and convex hulls in any dimension by integer double description
+after projecting to an integral coordinate chart of the affine hull.  Each
+facet carries the bitmask of the points on it; vertices and edges are read
+off those masks, and an edge is certified by the sum of the normals of its
+facets.
 """
 
 from __future__ import annotations
@@ -37,20 +40,26 @@ def format_rational(q: Rat) -> str:
     return str(Fraction(q))
 
 
+def clear_denominators(vec: Sequence[Rat]) -> list[int]:
+    """The vector times the lcm of its denominators: integers with every
+    sign kept, since the scaling is positive."""
+    if all(type(v) is int for v in vec):
+        return list(vec)
+    fracs = [Fraction(v) for v in vec]
+    mult = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (mult // f.denominator) for f in fracs]
+
+
 def integer_primitive(vec: Sequence[Rat]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, first nonzero
     entry positive."""
-    fracs = [Fraction(v) for v in vec]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = gcd(*ints) if any(ints) else 0
+    ints = clear_denominators(vec)
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 # --- Matrices -------------------------------------------------------------
@@ -120,7 +129,7 @@ class RationalMatrix:
         return sub.det()
 
     def rank(self) -> int:
-        return len(rref([list(r) for r in self.rows])[1])
+        return len(_row_reduce(self.rows, self.ncols)[1])
 
     def to_json(self) -> list[list[str]]:
         return [[format_rational(v) for v in row] for row in self.rows]
@@ -130,52 +139,82 @@ class RationalMatrix:
         return cls(tuple(tuple(parse_rational(v) for v in row) for row in data))
 
 
-def rref(rows: Sequence[Sequence[Rat]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [[Fraction(v) for v in row] for row in rows]
+# --- Linear algebra: one fraction-free Gauss-Jordan elimination ---------
+
+def _row_reduce(
+    rows: Sequence[Sequence[Rat]], ncols: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Gauss-Jordan elimination on integers: (rows, pivot columns), one
+    primitive integer row per pivot, and row r divided by its entry at
+    pivots[r] is row r of the reduced row echelon form.
+
+    Each row is first cleared of denominators, a nonzero scaling that keeps
+    the row space.  Clearing column c of row i with pivot d maps it to
+    row_i * d - row_i[c] * pivot_row, which is then divided by its content,
+    so every entry stays an integer (Bareiss, Math. Comp. 22, 1968)."""
+    for k, row in enumerate(rows):
+        if len(row) != ncols:
+            raise PreconditionError(f"row {k} has length {len(row)}, expected {ncols}")
+    m = [_primitive(clear_denominators(row)) for row in rows]
     pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        d = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = _primitive([a * d - f * b for a, b in zip(row, prow)])
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    return m[: len(pivots)], pivots
+
+
+def _rref_rows(reduced: list[tuple[int, ...]], pivots: list[int]) -> list[list[Fraction]]:
+    return [[Fraction(v, row[p]) for v in row] for row, p in zip(reduced, pivots)]
+
+
+def rref(rows: Sequence[Sequence[Rat]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).  The
+    zero rows of the form come last; rows of unequal length raise
+    `PreconditionError`."""
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = _row_reduce(rows, ncols)
+    out = _rref_rows(reduced, pivots)
+    out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(pivots))]
+    return out, pivots
 
 
 def nullspace_basis(rows: Sequence[Sequence[Rat]], dim: int) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer basis of {x : Ax = 0}, one vector per free column."""
-    if not rows:
-        rows = [[0] * dim]
-    reduced, pivots = rref(rows)
+    """Primitive integer basis of {x : Ax = 0}, one vector per free column;
+    every row must have length dim.
+
+    With d_r the pivot of reduced row r and L the lcm of the pivots, free
+    column c gets x_c = L and x_{p_r} = -a_rc * (L / d_r): L times the
+    solution read off the RREF, in integers."""
+    reduced, pivots = _row_reduce(rows, dim)
+    big = lcm(*(row[p] for row, p in zip(reduced, pivots)))
+    scaled = [(p, row, big // row[p]) for row, p in zip(reduced, pivots)]
     free = [c for c in range(dim) if c not in pivots]
     basis = []
     for c in free:
-        vec = [Fraction(0)] * dim
-        vec[c] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][c]
+        vec = [0] * dim
+        vec[c] = big
+        for p, row, s in scaled:
+            vec[p] = -row[c] * s
         basis.append(integer_primitive(vec))
     return tuple(basis)
 
 
 def canonical_subspace(vectors: Sequence[Sequence[Rat]], dim: int) -> tuple[tuple[Fraction, ...], ...]:
-    """RREF rows spanning the same subspace; equal iff subspaces are equal."""
-    if not vectors:
-        return ()
-    reduced, pivots = rref(vectors)
-    return tuple(tuple(row) for row in reduced[: len(pivots)])
+    """RREF rows spanning the same subspace; equal iff subspaces are equal.
+    Every vector must have length dim."""
+    return tuple(map(tuple, _rref_rows(*_row_reduce(vectors, dim))))
 
 
 # --- Cones ----------------------------------------------------------------
@@ -234,11 +273,8 @@ def lp_feasible(
     nslack = len(ineqs)
     # columns: x+ (dim), x- (dim), one slack per inequality
     for k, (coeffs, b) in enumerate([*ineqs, *eqs]):
-        # times the lcm of its denominators: a positive scaling, so the
-        # constraint keeps its solution set
-        vals = [v if isinstance(v, int) else Fraction(v) for v in (*coeffs, b)]
-        mult = lcm(*(v.denominator for v in vals))
-        *a, c = [v.numerator * (mult // v.denominator) for v in vals]
+        # a positive scaling, so the constraint keeps its solution set
+        *a, c = clear_denominators((*coeffs, b))
         a += [0] * (dim - len(a))
         row = a + [-v for v in a] + [int(k == t) for t in range(nslack)]
         if c < 0:
@@ -384,8 +420,9 @@ def _independent_rows(rows: list[tuple[int, ...]]) -> list[int]:
 
 
 def _primitive(vec: list[int]) -> tuple[int, ...]:
+    """The vector divided by its content; the zero vector as it is."""
     g = gcd(*vec)
-    return tuple(v // g for v in vec)
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
 
 
 def _double_description(pts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:

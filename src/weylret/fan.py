@@ -23,6 +23,7 @@ from .exact import (
     Membership,
     Rat,
     canonical_subspace,
+    clear_denominators,
     cone_membership,
     nullspace_basis,
 )
@@ -44,9 +45,13 @@ def _negated_simples(group: GroupDescriptor) -> tuple[tuple[int, ...], ...]:
 
 def chamber_cone(u: SignedPermutation) -> HalfspaceCone:
     """The closed chamber of u as a halfspace cone."""
-    normals = tuple(
-        act_on_vector(u, neg) for neg in _negated_simples(u.group)
-    )
+    return _chamber(u, _negated_simples(u.group))
+
+
+def _chamber(
+    u: SignedPermutation, negated_simples: Sequence[Sequence[int]]
+) -> HalfspaceCone:
+    normals = tuple(act_on_vector(u, neg) for neg in negated_simples)
     return HalfspaceCone(normals=normals, dim=u.group.ambient_dim)
 
 
@@ -161,21 +166,28 @@ def query(fan: Fan, lam: Sequence[Rat]) -> QueryResult:
     """Locate a point: the common image of every closed chamber containing
     it, graded interior/boundary against that image's cone.  A point whose
     chambers disagree on the image sits on a wall between fan cones and
-    raises `AmbiguousBoundary`."""
+    raises `AmbiguousBoundary`.
+
+    The point is first scaled to integers by the lcm of its denominators.
+    The scaling is positive, so every sign test, and with it the chambers,
+    the target and the grade, comes out as for the point itself, while the
+    tests run on integers."""
     group = fan.table.group
     if len(lam) != group.ambient_dim:
         raise ValueError(f"point length {len(lam)} != {group.ambient_dim}")
+    point = clear_denominators(lam)
+    negated = _negated_simples(group)
     hit = [
         u
         for u in elements(group)
-        if cone_membership(chamber_cone(u), lam) is not Membership.OUTSIDE
+        if cone_membership(_chamber(u, negated), point) is not Membership.OUTSIDE
     ]
     images = {fan.table.retract(u).window for u in hit}
     if len(images) > 1:
         shown = sorted(list(w) for w in images)
         raise AmbiguousBoundary(f"point lies between targets {shown}")
     target = next(fan.table.retract(u) for u in hit)
-    grade = cone_membership(fan.cone_for(target).cone, lam)
+    grade = cone_membership(fan.cone_for(target).cone, point)
     if grade is Membership.OUTSIDE:
         raise AssertionError(
             f"point {list(lam)} lies outside the cone of its own target"

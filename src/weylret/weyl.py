@@ -82,6 +82,7 @@ class GroupDescriptor:
     _segments: tuple[tuple[int, Factor], ...] = field(
         init=False, repr=False, compare=False
     )
+    window_length: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.factors:
@@ -89,14 +90,11 @@ class GroupDescriptor:
         object.__setattr__(self, "factors", tuple(self.factors))
         offsets = itertools.accumulate((f.rank for f in self.factors), initial=0)
         object.__setattr__(self, "_segments", tuple(zip(offsets, self.factors)))
+        object.__setattr__(self, "window_length", sum(f.rank for f in self.factors))
 
     @classmethod
     def simple(cls, type: WeylType | str, rank: int) -> "GroupDescriptor":
         return cls((Factor(WeylType(type), rank),))
-
-    @property
-    def window_length(self) -> int:
-        return sum(f.rank for f in self.factors)
 
     # The ambient vector space is the direct sum of the factor ambients,
     # one coordinate per window letter.
@@ -475,8 +473,8 @@ Scalar = int | Fraction
 
 def act_on_vector(u: SignedPermutation, nu: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Permutation action e_i -> e_{u(i)} with e_{ibar} = -e_i."""
-    if len(nu) != u.group.ambient_dim:
-        raise ValueError(f"vector length {len(nu)} != {u.group.ambient_dim}")
+    if len(nu) != len(u.window):
+        raise ValueError(f"vector length {len(nu)} != {len(u.window)}")
     out: list[Scalar] = [0] * len(nu)
     for i, v in enumerate(u.window):
         if v > 0:

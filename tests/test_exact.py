@@ -130,6 +130,74 @@ def test_rref_and_nullspace():
                 assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
+def _sympy_fraction(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Wide and tall matrices of ints and Fractions, padded with zero rows
+    and repeats of their own rows, in any order."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.lists(_entries, min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    for extra in draw(st.lists(st.integers(-1, nrows - 1), max_size=3)):
+        rows.append([0] * ncols if extra < 0 else list(rows[extra]))
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_elimination_matches_sympy(case):
+    rows, ncols = case
+    sym = sympy.Matrix([[sympy.Rational(str(Fraction(x))) for x in r] for r in rows])
+    sym_rref, sym_pivots = sym.rref()
+    want = [[_sympy_fraction(x) for x in sym_rref.row(i)] for i in range(sym.rows)]
+    reduced, pivots = rref(rows)
+    assert pivots == list(sym_pivots)
+    assert reduced == want
+    assert canonical_subspace(rows, ncols) == tuple(map(tuple, want[: len(pivots)]))
+    basis = nullspace_basis(rows, ncols)
+    sym_basis = [
+        integer_primitive([_sympy_fraction(x) for x in v]) for v in sym.nullspace()
+    ]
+    assert list(basis) == sym_basis
+    for vec in basis:
+        assert all(type(x) is int for x in vec)
+        assert math.gcd(*vec) == 1
+        assert next(x for x in vec if x) > 0
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: nullspace_basis([[0, 0, 1]], 2),
+        lambda: nullspace_basis([[1, 1], [1]], 2),
+        lambda: nullspace_basis([[1, 0], [0, 1, 5]], 2),
+        lambda: rref([[1, 1], [1]]),
+        lambda: canonical_subspace([(1, 0, 2)], 2),
+    ],
+    ids=["too-wide", "ragged", "ragged-wide", "rref-ragged", "subspace-wide"],
+)
+def test_row_widths_are_checked(call):
+    with pytest.raises(PreconditionError, match="length"):
+        call()
+
+
 def test_canonical_subspace_is_basis_invariant():
     v1, v2 = (1, 0, 2, 0), (0, 1, -1, 3)
     mixed = [

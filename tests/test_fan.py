@@ -1,5 +1,10 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
+import weylret.fan
 from weylret.errors import AmbiguousBoundary, InconsistentLineality
 from weylret.exact import Membership, RationalMatrix, canonical_subspace
 from weylret.fan import (
@@ -9,7 +14,7 @@ from weylret.fan import (
     members_connected,
     query,
 )
-from weylret.orbit import geometric_table
+from weylret.orbit import geometric_table, sample_rational_point
 from weylret.retraction import RetractionTable, SubsetM, retraction_table
 from weylret.weyl import SignedPermutation, elements
 
@@ -118,9 +123,11 @@ def test_query_origin_ambiguous(fan1):
 
 
 def test_query_wall_between_cones(fan2):
-    # ties between chambers mapping to different targets
-    with pytest.raises(AmbiguousBoundary):
-        query(fan2, (0, 1, 0))
+    # ties between chambers mapping to different targets, before and
+    # after scaling to integers
+    for lam in ((0, 1, 0), (0, Fraction(1, 2), 0)):
+        with pytest.raises(AmbiguousBoundary):
+            query(fan2, lam)
 
 
 def test_query_interior_wall_is_merged(fan2, s3):
@@ -129,6 +136,50 @@ def test_query_interior_wall_is_merged(fan2, s3):
     assert res.target == s3.identity()
     assert res.grade is Membership.INTERIOR
     assert sorted(u.window for u in res.chambers) == [(1, 2, 3), (1, 3, 2)]
+
+
+@pytest.fixture(scope="module")
+def fan_s4():
+    return build_fan(geometric_table(sample_rational_point(4, seed=3, kind="sparse")))
+
+
+def _answer(fan, lam):
+    try:
+        res = query(fan, lam)
+    except AmbiguousBoundary:
+        return AmbiguousBoundary
+    return res.target, res.grade, res.chambers
+
+
+@pytest.mark.parametrize("name", ["fan1", "fan2", "fan_s4"])
+def test_query_invariant_under_positive_scaling(name, request):
+    fan = request.getfixturevalue(name)
+    n = fan.table.group.ambient_dim
+    # few distinct values, so many points land on walls and ties
+    values = [Fraction(v, d) for v in range(-2, 3) for d in (1, 2, 3)]
+    rng = random.Random(n)
+    seen = set()
+    for _ in range(60):
+        lam = tuple(rng.choice(values) for _ in range(n))
+        want = _answer(fan, lam)
+        seen.add(want is AmbiguousBoundary)
+        for k in (2, math.lcm(*(x.denominator for x in lam))):
+            assert _answer(fan, tuple(k * x for x in lam)) == want
+    assert seen == {True, False}
+
+
+def test_query_tests_chambers_on_integers(fan1, monkeypatch):
+    points = []
+    real = weylret.fan.cone_membership
+
+    def spy(cone, point):
+        points.append(point)
+        return real(cone, point)
+
+    monkeypatch.setattr(weylret.fan, "cone_membership", spy)
+    res = query(fan1, (Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3)))
+    assert res.target.window == (2, 1, 3)
+    assert points and all(type(x) is int for p in points for x in p)
 
 
 def test_query_dimension_check(fan1):

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -38,6 +41,22 @@ def mixed_group() -> GroupDescriptor:
 
 
 # --- construction and validation -----------------------------------------
+
+
+def test_descriptor_derived_fields_stay_out_of_identity():
+    g = mixed_group()
+    assert g.window_length == g.ambient_dim == 5
+    assert [f.name for f in dataclasses.fields(g) if f.compare] == ["factors"]
+    twin = GroupDescriptor([Factor(WeylType.A, 3), Factor(WeylType.BC, 2)])
+    assert twin == g and hash(twin) == hash(g)
+    assert repr(g) == f"GroupDescriptor(factors={g.factors!r})"
+    assert g.to_json() == {
+        "factors": [{"type": "A", "rank": 3}, {"type": "BC", "rank": 2}]
+    }
+    for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert clone == g and hash(clone) == hash(g)
+        assert clone.window_length == 5
+        assert clone.segments() == g.segments()
 
 
 def test_window_validation(s3, bc2, d3):
