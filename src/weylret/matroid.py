@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .errors import DescriptorMismatch, PreconditionError
 from .exact import Rat, certifies_edge, hull_edges, lp_edge_feasible
-from .retraction import SubsetM, _extremal_set, algebraic_retract, closest_set
+from .retraction import SubsetM, _extremal_sets, algebraic_retract, closest_set
 from .retraction import _extremal_elements  # noqa: F401  (bench/spans.py traces the scan by this name)
 from .weyl import (
     GroupDescriptor,
@@ -51,19 +51,20 @@ class MatroidVerdict:
 def is_coxeter_matroid(M: SubsetM, side: str = "max") -> MatroidVerdict:
     """Check the unique-extremum property at every base element.
 
-    Fast path per base element when M is a product: take the greedy
-    candidate and verify by direct dominance that it is a true extremum,
-    which settles uniqueness without the quadratic scan; fall back to the
-    scan when the candidate fails (the subset is then typically not a
-    matroid at that u)."""
+    When M is a product, the greedy candidates of all base elements are
+    confirmed in chunks by one array dominance test each
+    (`retraction._dominates`), which settles uniqueness without the
+    quadratic scan; only the base elements whose candidate fails (where
+    the subset is typically not a matroid) go to the scan."""
     if side not in ("min", "max"):
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
-    failures = []
-    for u in elements(M.group):
-        ext = _extremal_set(M, u, side, greedy_first=True)
-        if len(ext) != 1:
-            failures.append((u, ext))
-    return MatroidVerdict(not failures, side, tuple(failures))
+    us = elements(M.group)
+    failures = tuple(
+        (u, ext)
+        for u, ext in zip(us, _extremal_sets(M, us, side, greedy_first=True))
+        if len(ext) != 1
+    )
+    return MatroidVerdict(not failures, side, failures)
 
 
 # --- Orbit polytope route -------------------------------------------------

@@ -18,9 +18,11 @@ order of rows of sorted prefixes (the tableau criterion), plus, on D
 factors, a parity condition on integer keys of the prefixes; so the
 extremal scan is a chunked Pareto test on integer rows, and a greedy
 candidate is confirmed against M's distinct prefix sets and the keys of
-its members.  The order route optionally confirms a greedy candidate
-first; a failed confirmation falls back to the full scan, never to an
-error.
+its members.  The order route optionally confirms greedy candidates
+first, for a whole chunk of base elements in one array pass
+(`_dominates`), so a table or a matroid check over all of W enters numpy
+a few times per chunk rather than per u; a base element whose candidate
+fails confirmation falls back to the full scan, never to an error.
 """
 
 from __future__ import annotations
@@ -145,6 +147,8 @@ class SubsetM:
 
 # Most (row, member) pairs one chunk of the extremal scan compares at once.
 _SCAN_BUDGET = 1 << 20
+# Most int64 entries one chunk of `_dominates` holds in any one intermediate.
+_BATCH_BUDGET = 1 << 14
 
 
 def _check_base(M: SubsetM, u: SignedPermutation) -> None:
@@ -177,27 +181,30 @@ def algebraic_retract(
             v = pick(node, key=pos.__getitem__)
             win.append(v + off if v > 0 else v - off)
             node = node[v]
-    return SignedPermutation(M.group, tuple(win))
+    return SignedPermutation._unchecked(M.group, tuple(win))
 
 
 # --- The translated arrays ------------------------------------------------
 
-def _letter_lookups(u: SignedPermutation) -> tuple[np.ndarray, np.ndarray]:
-    """Two arrays indexed by a + N for each letter a = +-1..+-N: u^-1(a) as
-    a local letter of its factor, and as its rank in that factor's chain
-    1 < ... < r < rbar < ... < 1bar.  Since u^-1(u(i)) = i, they are read
-    straight off the window of u."""
-    n = len(u.window)
+def _letter_lookups(
+    group: GroupDescriptor, bases: np.ndarray | Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays with one row per base window u and a column a + N for each
+    letter a = +-1..+-N: u^-1(a) as a local letter of its factor, and as its
+    rank in that factor's chain 1 < ... < r < rbar < ... < 1bar.  Since
+    u^-1(u(i)) = i, each row is one scatter of the window of u."""
+    n = group.window_length
     local = np.empty(n, dtype=np.int64)
     top = np.empty(n, dtype=np.int64)
-    for off, f in u.group.segments():
+    for off, f in group.segments():
         local[off : off + f.rank] = np.arange(1, f.rank + 1)
         top[off : off + f.rank] = 2 * f.rank + 1
-    at = np.array(u.window, dtype=np.int64)
-    to_local = np.zeros(2 * n + 1, dtype=np.int64)
-    to_rank = np.zeros(2 * n + 1, dtype=np.int64)
-    to_local[n + at], to_local[n - at] = local, -local
-    to_rank[n + at], to_rank[n - at] = local, top - local
+    at = np.asarray(bases, dtype=np.int64)
+    rows = np.arange(len(at))[:, None]
+    to_local = np.zeros((len(at), 2 * n + 1), dtype=np.int64)
+    to_rank = np.zeros((len(at), 2 * n + 1), dtype=np.int64)
+    to_local[rows, n + at], to_local[rows, n - at] = local, -local
+    to_rank[rows, n + at], to_rank[rows, n - at] = local, top - local
     return to_local, to_rank
 
 
@@ -239,9 +246,9 @@ def _parity_table(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _parity_keys(r: int, ranks: np.ndarray) -> np.ndarray:
     """Keys of condition (ii) of Bruhat order on D_r, one row per row of
-    `ranks`, which holds the ranks of the first r - 1 letters of a D_r
-    factor.  For w <= v on D_r, (i) the sorted-prefix rows must meet and
-    (ii) at every prefix length k < r and threshold t = 2..r where both
+    `ranks`, whose last axis holds the ranks of the first r - 1 letters of
+    a D_r factor.  For w <= v on D_r, (i) the sorted-prefix rows must meet
+    and (ii) at every prefix length k < r and threshold t = 2..r where both
     prefixes hold all letters of absolute value >= t and the same number C
     of barred letters of absolute value < t, they must hold the same parity
     P of barred letters of absolute value >= t (the type-D refinement of
@@ -250,36 +257,54 @@ def _parity_keys(r: int, ranks: np.ndarray) -> np.ndarray:
     exactly where two keys differ in their last bit alone: x ^ y == 1.  A
     prefix with k + t <= r is never full, so those pairs are left out."""
     table, full, kept = _parity_table(r)
-    high, low_bars, high_bars = table[ranks].cumsum(axis=1).transpose(2, 0, 1, 3)
+    high, low_bars, high_bars = np.moveaxis(table[ranks].cumsum(axis=-3), -2, 0)
     keys = np.where(high == full, 2 * low_bars + (high_bars & 1), -1)
-    return keys[:, kept]
+    return keys[..., kept]
+
+
+def _batch_size(M: SubsetM) -> int:
+    """How many base elements one chunk of `_dominates` takes.  Per base
+    element it holds M's translated prefix sets, sorted; on each D factor,
+    the parity-table rows of every member's head and their running sums."""
+    per_base = 2 * sum(sets.size for levels in M.prefix_sets for sets in levels)
+    for _, f in M.group.segments():
+        if f.type is WeylType.D:
+            per_base += len(M) * (f.rank - 1) * (1 + 6 * (f.rank - 1))
+    return max(1, _BATCH_BUDGET // per_base)
+
+
+def _dominates(M: SubsetM, bases: np.ndarray, cands: np.ndarray, side: str) -> np.ndarray:
+    """For each row i of the b x N windows `bases` and `cands`: whether
+    u^-1 cand lies below (side "min") or above ("max") every translate
+    u^-1 v, where u, cand are the windows of row i.  At each level k the
+    candidates' sorted rank prefixes are compared with the column-wise
+    extremum of M's translated prefix sets, shape b x s_k x k; on a D
+    factor the candidates' parity keys are compared with those of every
+    member."""
+    n = M.group.window_length
+    _, to_rank = _letter_lookups(M.group, bases)
+    rows = np.arange(len(to_rank))[:, None]
+    sets_at = rows[:, :, None]
+    x = to_rank[rows, n + cands]
+    extremum = np.min if side == "min" else np.max
+    below = np.less_equal if side == "min" else np.greater_equal
+    ok = np.ones(len(to_rank), dtype=bool)
+    for (off, f), levels in zip(M.group.segments(), M.prefix_sets):
+        for k, sets in enumerate(levels, start=1):
+            mine = np.sort(x[:, off : off + k], axis=1)
+            theirs = np.sort(to_rank[sets_at, n + sets], axis=2)
+            ok &= below(mine, extremum(theirs, axis=1)).all(axis=1)
+        if f.type is WeylType.D:
+            head = slice(off, off + f.rank - 1)
+            mine = _parity_keys(f.rank, x[:, head])
+            theirs = _parity_keys(f.rank, to_rank[sets_at, n + M.windows_array[:, head]])
+            ok &= ((theirs ^ mine[:, None, :]) != 1).all(axis=(1, 2))
+    return ok
 
 
 def _dominates_all(M: SubsetM, u: SignedPermutation, cand: SignedPermutation, side: str) -> bool:
-    """Whether u^-1 cand lies below (side "min") or above ("max") every
-    translate u^-1 v: the sorted rank prefix of the candidate is compared
-    with the column-wise extremum of M's translated prefix sets, and on a D
-    factor its parity keys with those of every member."""
-    n = len(u.window)
-    _, to_rank = _letter_lookups(u)
-    x = to_rank[n + np.array(cand.window, dtype=np.int64)]
-    for (off, f), levels in zip(M.group.segments(), M.prefix_sets):
-        for k, sets in enumerate(levels, start=1):
-            mine = np.sort(x[off : off + k])
-            theirs = np.sort(to_rank[n + sets], axis=1)
-            if side == "min":
-                ok = (mine <= theirs.min(axis=0)).all()
-            else:
-                ok = (mine >= theirs.max(axis=0)).all()
-            if not ok:
-                return False
-        if f.type is WeylType.D:
-            head = slice(off, off + f.rank - 1)
-            ranks = np.vstack((x[head], to_rank[n + M.windows_array[:, head]]))
-            keys = _parity_keys(f.rank, ranks)  # row 0: the candidate
-            if ((keys[1:] ^ keys[0]) == 1).any():
-                return False
-    return True
+    """`_dominates` for one base element u and one candidate."""
+    return bool(_dominates(M, np.array([u.window]), np.array([cand.window]), side)[0])
 
 
 def _extremal_elements(
@@ -290,8 +315,8 @@ def _extremal_elements(
     sorted-prefix rows, with the parity keys of D factors alongside, in
     chunks of rows that compare at most `_SCAN_BUDGET` pairs at once."""
     n = len(u.window)
-    _, to_rank = _letter_lookups(u)
-    ranks = to_rank[n + M.windows_array]
+    _, to_rank = _letter_lookups(M.group, [u.window])
+    ranks = to_rank[0, n + M.windows_array]
     rows = _sorted_prefix_rows(M.group, ranks)
     cols = np.ascontiguousarray(rows.T)
     key_cols = [
@@ -317,18 +342,38 @@ def _extremal_elements(
     return tuple(M.elements[i] for i in keep)
 
 
-def _extremal_set(
-    M: SubsetM, u: SignedPermutation, side: str, greedy_first: bool
-) -> tuple[SignedPermutation, ...]:
-    """The extremal elements at u: the greedy candidate alone when
-    `_dominates_all` confirms it (product subsets only), else the quadratic
-    scan `_extremal_elements`.  Both read the translated rank array of u,
-    on every group type."""
-    if greedy_first and M.is_product:
-        cand = algebraic_retract(M, u, side=side)
-        if _dominates_all(M, u, cand, side):
-            return (cand,)
-    return _extremal_elements(M, u, side)
+def _extremal_sets(
+    M: SubsetM, us: Sequence[SignedPermutation], side: str, greedy_first: bool
+) -> Iterator[tuple[SignedPermutation, ...]]:
+    """The extremal elements at each u of `us`, in order.  With
+    `greedy_first` and a product M, the greedy candidates of a chunk of
+    base elements are confirmed by one `_dominates` call, and only a u
+    whose candidate fails goes to the quadratic scan `_extremal_elements`;
+    otherwise every u does."""
+    if not (greedy_first and M.is_product):
+        for u in us:
+            yield _extremal_elements(M, u, side)
+        return
+    step = _batch_size(M)
+    for lo in range(0, len(us), step):
+        chunk = us[lo : lo + step]
+        cands = [algebraic_retract(M, u, side=side) for u in chunk]
+        ok = _dominates(
+            M,
+            np.array([u.window for u in chunk], dtype=np.int64),
+            np.array([c.window for c in cands], dtype=np.int64),
+            side,
+        )
+        for u, cand, hit in zip(chunk, cands, ok):
+            yield (cand,) if hit else _extremal_elements(M, u, side)
+
+
+def _unique_extremum(
+    u: SignedPermutation, extremal: tuple[SignedPermutation, ...]
+) -> SignedPermutation:
+    if len(extremal) == 1:
+        return extremal[0]
+    raise NotAMatroidAt(u, extremal)
 
 
 def matroid_retract(
@@ -345,10 +390,7 @@ def matroid_retract(
     _check_base(M, u)
     if side not in ("min", "max"):
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
-    extremal = _extremal_set(M, u, side, greedy_first)
-    if len(extremal) == 1:
-        return extremal[0]
-    raise NotAMatroidAt(u, extremal)
+    return _unique_extremum(u, next(_extremal_sets(M, (u,), side, greedy_first)))
 
 
 def closest_set(
@@ -361,8 +403,8 @@ def closest_set(
     on A the count is the inversion count; BC adds its bar count."""
     _check_base(M, u)
     n = len(u.window)
-    to_local, _ = _letter_lookups(u)
-    letters = to_local[n + M.windows_array]
+    to_local, _ = _letter_lookups(M.group, [u.window])
+    letters = to_local[0, n + M.windows_array]
     dist = np.zeros(len(M), dtype=np.int64)
     for off, f in M.group.segments():
         seg = letters[:, off : off + f.rank]
@@ -452,13 +494,15 @@ def retraction_table(
 ) -> RetractionTable:
     """Tabulate a retraction over the whole group.  Only side "min" fixes
     M; side "max" at u is side "min" at u w0."""
+    us = elements(M.group)
     if method == "algebraic":
-        fn = lambda u: algebraic_retract(M, u)
+        images = [algebraic_retract(M, u) for u in us]
         provenance = "algebraic-greedy"
     elif method == "matroid":
-        fn = lambda u: matroid_retract(M, u, greedy_first=greedy_first)
+        extremal = _extremal_sets(M, us, "min", greedy_first)
+        images = [_unique_extremum(u, ext) for u, ext in zip(us, extremal)]
         provenance = "matroid-minimum"
     else:
         raise ValueError(f"unknown method {method!r}")
-    mapping = tuple((u, fn(u)) for u in elements(M.group))
+    mapping = tuple(zip(us, images))
     return RetractionTable(M.group, tuple(M.elements), mapping, provenance=provenance)

@@ -205,6 +205,17 @@ class SignedPermutation:
             if f.type is WeylType.D and bars % 2:
                 raise ValueError(f"type D segment {seg} has odd bar count")
 
+    @classmethod
+    def _unchecked(cls, group: GroupDescriptor, window: tuple[int, ...]) -> "SignedPermutation":
+        """The element with this window, without the checks of
+        `__post_init__`: for results of this package's own operations on
+        valid elements, never for input from outside.  `window` must be a
+        tuple."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "group", group)
+        object.__setattr__(w, "window", window)
+        return w
+
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         return compose(self, other)
 
@@ -245,7 +256,7 @@ def compose(v: SignedPermutation, w: SignedPermutation) -> SignedPermutation:
     _check_same_group(v, w)
     vw = v.window
     out = tuple(vw[k - 1] if k > 0 else -vw[-k - 1] for k in w.window)
-    return SignedPermutation(v.group, out)
+    return SignedPermutation._unchecked(v.group, out)
 
 
 def inverse(w: SignedPermutation) -> SignedPermutation:
@@ -255,7 +266,7 @@ def inverse(w: SignedPermutation) -> SignedPermutation:
             out[v - 1] = i
         else:
             out[-v - 1] = -i
-    return SignedPermutation(w.group, tuple(out))
+    return SignedPermutation._unchecked(w.group, tuple(out))
 
 
 def _length_a(win: Sequence[int]) -> int:
@@ -440,7 +451,9 @@ def enumerate_group(
             [tuple(_globalize(v, off) for v in win) for win in _factor_windows(f)]
         )
     for combo in itertools.product(*streams):
-        yield SignedPermutation(descriptor, tuple(itertools.chain.from_iterable(combo)))
+        yield SignedPermutation._unchecked(
+            descriptor, tuple(itertools.chain.from_iterable(combo))
+        )
 
 
 @lru_cache(maxsize=64)
@@ -534,7 +547,7 @@ def chamber_of(lam: Sequence[Scalar], descriptor: GroupDescriptor) -> SignedPerm
         else:
             loc = _chamber_d(part, f.rank)
         win.extend(_globalize(v, off) for v in loc)
-    return SignedPermutation(descriptor, tuple(win))
+    return SignedPermutation._unchecked(descriptor, tuple(win))
 
 
 # --- Root data ------------------------------------------------------------

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,29 @@ def test_fano_matroid_shape():
     # no window opens with a line of the plane, in any order
     assert (1, 2, 4) not in {tuple(sorted(t)) for t in wins}
     assert any(w.window == (1, 2, 3, 4, 5, 6, 7) for w in M)
+
+
+def _traced_peak_mib(fn) -> float:
+    """Peak of Python and numpy allocations during fn(), after one warm-up
+    call that fills the caches it keeps (group elements, prefix sets)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_order_route_memory_stays_bounded():
+    # the batched dominance test holds one chunk of base elements at a time
+    fano = fano_matroid_s7()
+    assert _traced_peak_mib(lambda: is_coxeter_matroid(fano)) <= 16.0
+    d4 = GroupDescriptor.simple(WeylType.D, 4)
+    interval = SubsetM(d4, bruhat_interval(d4.identity(), d4.element((1, -3, -2, 4))))
+    assert len(interval) == 20
+    assert _traced_peak_mib(lambda: is_coxeter_matroid(interval)) <= 4.0
+    assert is_coxeter_matroid(interval).is_matroid
 
 
 def test_two_element_hand_values(s4):

@@ -13,6 +13,7 @@ from weylret.errors import (
     DescriptorMismatch,
     EnumerationCapExceeded,
 )
+from weylret.retraction import SubsetM, algebraic_retract
 from weylret.weyl import (
     Factor,
     GroupDescriptor,
@@ -429,3 +430,48 @@ def test_element_refuses_non_integer_letters(s3):
     for bad in ([1.0, 2.0, 3.0], [True, 2, 3], ["1", 2, 3], [1, 2, 3.0]):
         with pytest.raises(ValueError, match="must be integers"):
             s3.element(bad)
+
+
+# --- results built without validation would pass it ---------------------------
+
+_UNCHECKED_GROUPS = [
+    GroupDescriptor.simple(WeylType.A, 3),
+    GroupDescriptor.simple(WeylType.BC, 3),
+    GroupDescriptor.simple(WeylType.D, 4),
+    GroupDescriptor((Factor(WeylType.A, 2), Factor(WeylType.BC, 2))),
+    GroupDescriptor((Factor(WeylType.BC, 2), Factor(WeylType.D, 3))),
+]
+
+
+def _revalidated(w: SignedPermutation) -> bool:
+    return type(w.window) is tuple and w == SignedPermutation(w.group, w.window)
+
+
+@pytest.mark.parametrize("group", _UNCHECKED_GROUPS, ids=str)
+def test_enumerated_elements_pass_validation(group):
+    assert all(_revalidated(w) for w in enumerate_group(group))
+
+
+@st.composite
+def unchecked_cases(draw):
+    group = draw(st.sampled_from(_UNCHECKED_GROUPS))
+    pool = elements(group)
+    v, w = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    # a regular point: distinct nonzero absolute values, any signs
+    mags = draw(st.permutations(range(1, group.window_length + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(mags), max_size=len(mags)))
+    members = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    return group, v, w, tuple(m * s for m, s in zip(mags, signs)), members
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=unchecked_cases())
+def test_kernel_results_pass_validation(case):
+    group, v, w, lam, members = case
+    assert _revalidated(compose(v, w))
+    assert _revalidated(inverse(v))
+    assert _revalidated(chamber_of(lam, group))
+    M = SubsetM(group, tuple(members))
+    if M.is_product:
+        for side in ("min", "max"):
+            assert _revalidated(algebraic_retract(M, v, side=side))
