@@ -55,6 +55,14 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _count(value: str) -> int:
+    """An argparse type for --count: an integer of at least 1."""
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"count must be at least 1, got {count}")
+    return count
+
+
 def _load_text(value: str) -> str:
     if value == "-":
         return sys.stdin.read()
@@ -402,7 +410,7 @@ def build_parser() -> _Parser:
     q.set_defaults(fn=cmd_matroid_polytope)
     q = msub.add_parser("scan", help="random search for disagreement between routes")
     q.add_argument("--group", required=True)
-    q.add_argument("--count", type=int, default=100)
+    q.add_argument("--count", type=_count, default=100)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_matroid_scan)
 
@@ -420,7 +428,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run named verification suites")
     p.add_argument("suite", nargs="*", help=f"suites: {', '.join(sorted(SUITES))}")
-    p.add_argument("--count", type=int, default=None, help="scale random parts")
+    p.add_argument("--count", type=_count, default=None, help="scale random parts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true", help="embed wall times in stdout")
     p.add_argument("--json", action="store_true")

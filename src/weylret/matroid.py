@@ -51,11 +51,11 @@ class MatroidVerdict:
 def is_coxeter_matroid(M: SubsetM, side: str = "max") -> MatroidVerdict:
     """Check the unique-extremum property at every base element.
 
-    When M is a product, the greedy candidates of all base elements are
-    confirmed in chunks by one array dominance test each
-    (`retraction._dominates`), which settles uniqueness without the
-    quadratic scan; only the base elements whose candidate fails (where
-    the subset is typically not a matroid) go to the scan."""
+    For any M, the unique extrema of all base elements are read off the
+    translated prefix sets of M in chunks, one array pass each
+    (`retraction._extrema`), which settles uniqueness without the
+    quadratic scan; only the base elements with no unique extremum go to
+    the scan, which lists their extremal elements."""
     if side not in ("min", "max"):
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     us = elements(M.group)

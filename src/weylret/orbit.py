@@ -163,6 +163,8 @@ def sample_rational_point(
     rng = random.Random(seed)
     if n < 1:
         raise PreconditionError(f"matrix size must be at least 1, got {n}")
+    if not 0 <= density <= 1:
+        raise PreconditionError(f"density must lie in [0, 1], got {density}")
     if kind not in ("generic", "sparse", "interval"):
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "interval":

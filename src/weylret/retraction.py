@@ -16,13 +16,14 @@ rank in 1 < ... < r < rbar < ... < 1bar for order, and one fancy-index of
 vectorised counts over column pairs.  Bruhat order becomes entrywise
 order of rows of sorted prefixes (the tableau criterion), plus, on D
 factors, a parity condition on integer keys of the prefixes; so the
-extremal scan is a chunked Pareto test on integer rows, and a greedy
-candidate is confirmed against M's distinct prefix sets and the keys of
-its members.  The order route optionally confirms greedy candidates
-first, for a whole chunk of base elements in one array pass
-(`_dominates`), so a table or a matroid check over all of W enters numpy
-a few times per chunk rather than per u; a base element whose candidate
-fails confirmation falls back to the full scan, never to an error.
+extremal scan is a chunked Pareto test on integer rows.  A unique
+extremum has as its sorted prefixes the column-wise extrema of M's
+translated prefix sets, so the order route first reads it off those
+bounds, for a whole chunk of base elements in one array pass
+(`_extrema`), and a table or a matroid check over all of W enters numpy
+a few times per chunk rather than per u.  This uses M alone and never
+the greedy route.  A base element where no extremum is read off falls
+back to the full scan, never to an error.
 """
 
 from __future__ import annotations
@@ -86,7 +87,12 @@ class SubsetM:
         return iter(self.elements)
 
     def __contains__(self, w: SignedPermutation) -> bool:
-        return any(w.window == v.window for v in self.elements)
+        return w.window in self.index
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """The position in `elements` of each member, by window."""
+        return {w.window: i for i, w in enumerate(self.elements)}
 
     @cached_property
     def projections(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -147,7 +153,7 @@ class SubsetM:
 
 # Most (row, member) pairs one chunk of the extremal scan compares at once.
 _SCAN_BUDGET = 1 << 20
-# Most int64 entries one chunk of `_dominates` holds in any one intermediate.
+# Most int64 entries one chunk of `_extrema` holds in any one intermediate.
 _BATCH_BUDGET = 1 << 14
 
 
@@ -263,7 +269,7 @@ def _parity_keys(r: int, ranks: np.ndarray) -> np.ndarray:
 
 
 def _batch_size(M: SubsetM) -> int:
-    """How many base elements one chunk of `_dominates` takes.  Per base
+    """How many base elements one chunk of `_extrema` takes.  Per base
     element it holds M's translated prefix sets, sorted; on each D factor,
     the parity-table rows of every member's head and their running sums."""
     per_base = 2 * sum(sets.size for levels in M.prefix_sets for sets in levels)
@@ -273,38 +279,55 @@ def _batch_size(M: SubsetM) -> int:
     return max(1, _BATCH_BUDGET // per_base)
 
 
-def _dominates(M: SubsetM, bases: np.ndarray, cands: np.ndarray, side: str) -> np.ndarray:
-    """For each row i of the b x N windows `bases` and `cands`: whether
-    u^-1 cand lies below (side "min") or above ("max") every translate
-    u^-1 v, where u, cand are the windows of row i.  At each level k the
-    candidates' sorted rank prefixes are compared with the column-wise
-    extremum of M's translated prefix sets, shape b x s_k x k; on a D
-    factor the candidates' parity keys are compared with those of every
-    member."""
+def _extrema(M: SubsetM, bases: np.ndarray, side: str) -> np.ndarray:
+    """For each row u of the b x N windows `bases`: the index in M of the
+    unique Bruhat-least (side "min") or -greatest ("max") translate
+    u^-1 v, or -1 when there is none.  A unique extremum lies below
+    (above) every translate, so at each level k its sorted rank prefix is
+    the column-wise extremum of M's translated prefix sets, shape
+    b x s_k x k.  The bounds at levels k - 1 and k interlace, so the
+    difference of their sums is a rank in 1..2r: the k-th letter of the
+    translate, which u maps back to a letter of v, and v is looked up by
+    window.  A member found so has these ranks, so each of its sorted
+    prefixes is bounded by, and sums to, the bound at its level: it equals
+    the bound, and the bounds are nested.  On a D factor, v's parity keys
+    must also meet those of every member.  The bounds depend on M alone,
+    not on any candidate from another route."""
     n = M.group.window_length
+    bases = np.asarray(bases, dtype=np.int64)
     _, to_rank = _letter_lookups(M.group, bases)
-    rows = np.arange(len(to_rank))[:, None]
+    rows = np.arange(len(bases))[:, None]
     sets_at = rows[:, :, None]
-    x = to_rank[rows, n + cands]
     extremum = np.min if side == "min" else np.max
-    below = np.less_equal if side == "min" else np.greater_equal
-    ok = np.ones(len(to_rank), dtype=bool)
+    ok = np.ones(len(bases), dtype=bool)
+    wins = np.empty_like(bases)
     for (off, f), levels in zip(M.group.segments(), M.prefix_sets):
+        # the letter u(i) of v has rank i, and u(-i) = -u(i) has rank 2r + 1 - i
+        seg = bases[:, off : off + f.rank]
+        letters = np.concatenate([seg, -seg[:, ::-1]], axis=1)
+        added = np.empty((len(bases), f.rank), dtype=np.int64)
+        prev = added[:, :0]
         for k, sets in enumerate(levels, start=1):
-            mine = np.sort(x[:, off : off + k], axis=1)
-            theirs = np.sort(to_rank[sets_at, n + sets], axis=2)
-            ok &= below(mine, extremum(theirs, axis=1)).all(axis=1)
+            bound = extremum(np.sort(to_rank[sets_at, n + sets], axis=2), axis=1)
+            added[:, k - 1] = bound.sum(axis=1) - prev.sum(axis=1)
+            prev = bound
+        wins[:, off : off + f.rank] = letters[rows, added - 1]
         if f.type is WeylType.D:
             head = slice(off, off + f.rank - 1)
-            mine = _parity_keys(f.rank, x[:, head])
+            mine = _parity_keys(f.rank, added[:, : f.rank - 1])
             theirs = _parity_keys(f.rank, to_rank[sets_at, n + M.windows_array[:, head]])
             ok &= ((theirs ^ mine[:, None, :]) != 1).all(axis=(1, 2))
-    return ok
+    index = M.index
+    return np.array(
+        [index.get(tuple(w), -1) if hit else -1 for w, hit in zip(wins.tolist(), ok.tolist())],
+        dtype=np.int64,
+    )
 
 
 def _dominates_all(M: SubsetM, u: SignedPermutation, cand: SignedPermutation, side: str) -> bool:
-    """`_dominates` for one base element u and one candidate."""
-    return bool(_dominates(M, np.array([u.window]), np.array([cand.window]), side)[0])
+    """Whether the member cand of M is the unique extremum of u^-1 M, which
+    for a member means lying below (above) every translate."""
+    return bool(_extrema(M, np.array([u.window]), side)[0] == M.index[cand.window])
 
 
 def _extremal_elements(
@@ -346,26 +369,19 @@ def _extremal_sets(
     M: SubsetM, us: Sequence[SignedPermutation], side: str, greedy_first: bool
 ) -> Iterator[tuple[SignedPermutation, ...]]:
     """The extremal elements at each u of `us`, in order.  With
-    `greedy_first` and a product M, the greedy candidates of a chunk of
-    base elements are confirmed by one `_dominates` call, and only a u
-    whose candidate fails goes to the quadratic scan `_extremal_elements`;
-    otherwise every u does."""
-    if not (greedy_first and M.is_product):
+    `greedy_first`, the unique extrema of a chunk of base elements are
+    found by one `_extrema` call, and only a u where none is found goes to
+    the quadratic scan `_extremal_elements`; otherwise every u does."""
+    if not greedy_first:
         for u in us:
             yield _extremal_elements(M, u, side)
         return
     step = _batch_size(M)
     for lo in range(0, len(us), step):
         chunk = us[lo : lo + step]
-        cands = [algebraic_retract(M, u, side=side) for u in chunk]
-        ok = _dominates(
-            M,
-            np.array([u.window for u in chunk], dtype=np.int64),
-            np.array([c.window for c in cands], dtype=np.int64),
-            side,
-        )
-        for u, cand, hit in zip(chunk, cands, ok):
-            yield (cand,) if hit else _extremal_elements(M, u, side)
+        found = _extrema(M, np.array([u.window for u in chunk], dtype=np.int64), side)
+        for u, i in zip(chunk, found.tolist()):
+            yield (M.elements[i],) if i >= 0 else _extremal_elements(M, u, side)
 
 
 def _unique_extremum(
@@ -385,8 +401,8 @@ def matroid_retract(
     """The unique element of M whose translate u^-1 v is Bruhat-least
     (side "min") or -greatest ("max") in u^-1 M; raises `NotAMatroidAt`
     listing the extremal elements when there is no unique one.  With
-    `greedy_first`, a product M tries the confirmed greedy candidate before
-    the scan."""
+    `greedy_first`, the extremum read off M's prefix-set bounds
+    (`_extrema`) is tried before the scan."""
     _check_base(M, u)
     if side not in ("min", "max"):
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")

@@ -391,7 +391,8 @@ def suite_two_element_s4(count: int | None = None, seed: int = 0) -> SuiteResult
 
 def suite_fano(count: int | None = None, seed: int = 0) -> SuiteResult:
     """On the 4032-element subset avoiding the seven lines of the order-2
-    projective plane, the greedy-confirmed order route agrees with the
+    projective plane, the order route, which reads each unique extremum
+    off the prefix sets of M without the greedy route, agrees with the
     greedy route at every one of the 5040 base elements: the two tables
     are compared entry by entry, or, with `count`, per-u retractions at a
     sample of base elements."""

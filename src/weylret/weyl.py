@@ -552,12 +552,6 @@ def chamber_of(lam: Sequence[Scalar], descriptor: GroupDescriptor) -> SignedPerm
 
 # --- Root data ------------------------------------------------------------
 
-def _unit(i: int, dim: int) -> list[int]:
-    v = [0] * dim
-    v[i] = 1
-    return v
-
-
 def _factor_simple_roots(f: Factor) -> list[tuple[int, ...]]:
     r = f.rank
     out = []

@@ -293,6 +293,16 @@ def test_parse_errors_exit_3(capsys):
     assert code == 3
     code, _ = run(capsys, "fixed-points", "--matrix", "[1, 2]")
     assert code == 3
+    # a count below 1 would check nothing, or fail inside the sampler
+    for argv in (
+        ("verify", "fano", "--count", "-1"),
+        ("verify", "thmB-random", "--count", "0"),
+        ("verify", "thmB-random", "--count", "-1"),
+        ("matroid", "scan", "--group", "A2", "--count", "0"),
+        ("matroid", "scan", "--group", "A2", "--count", "-1"),
+    ):
+        code, _ = run(capsys, *argv)
+        assert code == 3, argv
 
 
 def test_singular_matrix_exits_4(capsys):
@@ -305,10 +315,13 @@ def test_singular_matrix_exits_4(capsys):
     [
         ("fixed-points", "--matrix", '[["1","2","3"],["4","5","6"]]'),
         ("sample", "--n", "0", "--seed", "0"),
+        ("sample", "--n", "2", "--seed", "0", "--density", "-1"),
+        ("sample", "--n", "2", "--seed", "0", "--kind", "sparse", "--density", "5"),
         ("two-element", "--group", "A2", "--pair", "[[1,2,3],[1,2,3]]"),
         ("table", "--group", "A2", "--subset", "[[1,2,3],[1,3,2]]", "--side", "max"),
     ],
-    ids=["non-square", "sample-n-0", "two-element-equal", "table-side-max"],
+    ids=["non-square", "sample-n-0", "sample-density-negative", "sample-density-above-1",
+         "two-element-equal", "table-side-max"],
 )
 def test_unsupported_inputs_exit_4(capsys, argv):
     code = main(list(argv))

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from oracles import covering_closure, oracle_leq
 from weylret import retraction
 from weylret.errors import DescriptorMismatch, NotAMatroidAt, NotAProduct, ParseError
-from weylret.matroid import fano_matroid_s7
+from weylret.exact import RationalMatrix
+from weylret.matroid import MatroidVerdict, fano_matroid_s7, is_coxeter_matroid
+from weylret.orbit import fixed_points
 from weylret.retraction import (
     RetractionTable,
     SubsetM,
@@ -20,6 +22,7 @@ from weylret.retraction import (
     matroid_retract,
     retraction_table,
 )
+from weylret.suites import DEMO_MATRIX_1
 from weylret.weyl import (
     Factor,
     GroupDescriptor,
@@ -485,6 +488,62 @@ def test_dominates_all_returns_a_bool(bc2):
         for side in ("min", "max"):
             cand = algebraic_retract(M, u, side=side)
             assert type(_dominates_all(M, u, cand, side)) is bool
+
+
+def _outcome(fn, *args, **kwargs):
+    """What fn returns, or the payload of the `NotAMatroidAt` it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except NotAMatroidAt as exc:
+        return ("NotAMatroidAt", exc.u, exc.minimals)
+
+
+def test_order_route_never_calls_the_greedy_route(monkeypatch):
+    # the order route must stay independent of the greedy one, on a product
+    # M (a demo fixed-point set) and on a non-product M in a product group
+    a1bc2 = GroupDescriptor((Factor(_A, 2), Factor(_BC, 2)))
+    cases = [
+        fixed_points(RationalMatrix(DEMO_MATRIX_1)),
+        subset(a1bc2, (1, 2, 3, 4), (2, 1, 4, 3), (1, 2, -3, 4), (2, 1, 3, -4)),
+    ]
+    assert cases[0].is_product and not cases[1].is_product
+
+    def scan_answers(M):
+        us = elements(M.group)
+        verdicts = []
+        for side in ("min", "max"):
+            failures = tuple(
+                (u, ext) for u in us if len(ext := _extremal_elements(M, u, side)) != 1
+            )
+            verdicts.append(MatroidVerdict(not failures, side, failures))
+        table = _outcome(retraction_table, M, method="matroid", greedy_first=False)
+        retracts = [_outcome(matroid_retract, M, u, greedy_first=False) for u in us]
+        return verdicts, table, retracts
+
+    expected = [scan_answers(M) for M in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the order route called algebraic_retract")
+
+    scans = []
+    scan = retraction._extremal_elements
+
+    def counted_scan(M, u, side):
+        scans.append(u)
+        return scan(M, u, side)
+
+    monkeypatch.setattr(retraction, "algebraic_retract", refuse)
+    monkeypatch.setattr(retraction, "_extremal_elements", counted_scan)
+    for M, (verdicts, table, retracts) in zip(cases, expected):
+        for verdict in verdicts:
+            scans.clear()
+            assert is_coxeter_matroid(M, verdict.side) == verdict
+            # every unique extremum is read off in the batch, so only the
+            # base elements without one reach the scan
+            assert len(scans) == len(verdict.failures)
+        assert _outcome(retraction_table, M, method="matroid") == table
+        assert [_outcome(matroid_retract, M, u) for u in elements(M.group)] == retracts
+    assert not expected[0][0][0].failures and expected[1][0][0].failures
 
 
 # --- the type-D order on integer rows against the lifting-property walk -------
