@@ -54,8 +54,9 @@ def is_coxeter_matroid(M: SubsetM, side: str = "max") -> MatroidVerdict:
     For any M, the unique extrema of all base elements are read off the
     translated prefix sets of M in chunks, one array pass each
     (`retraction._extrema`), which settles uniqueness without the
-    quadratic scan; only the base elements with no unique extremum go to
-    the scan, which lists their extremal elements."""
+    quadratic scan; the base elements of a chunk with no unique extremum
+    go together to one batched scan (`retraction._extremal_elements`),
+    which lists their extremal elements."""
     if side not in ("min", "max"):
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     us = elements(M.group)

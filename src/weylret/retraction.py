@@ -22,8 +22,11 @@ translated prefix sets, so the order route first reads it off those
 bounds, for a whole chunk of base elements in one array pass
 (`_extrema`), and a table or a matroid check over all of W enters numpy
 a few times per chunk rather than per u.  This uses M alone and never
-the greedy route.  A base element where no extremum is read off falls
-back to the full scan, never to an error.
+the greedy route.  The base elements of a chunk where no extremum is read
+off go together to one batched extremal scan (never to an error), which
+translates M for several of them at once and runs in chunks of
+(base element, row) pairs under one budget, so its memory stays bounded
+for any M and any number of failures.
 """
 
 from __future__ import annotations
@@ -151,7 +154,8 @@ class SubsetM:
             raise ParseError(f"bad subset payload: {exc}") from exc
 
 
-# Most (row, member) pairs one chunk of the extremal scan compares at once.
+# Most (row, member) pairs one chunk of the extremal scan compares at once,
+# and most integer entries its translates hold (`_scan_cost` per row).
 _SCAN_BUDGET = 1 << 20
 # Most int64 entries one chunk of `_extrema` holds in any one intermediate.
 _BATCH_BUDGET = 1 << 14
@@ -222,8 +226,9 @@ def _column_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sorted_prefix_rows(group: GroupDescriptor, ranks: np.ndarray) -> np.ndarray:
-    """One row per translate: the sorted rank prefixes k = 1..r of every
-    factor, concatenated.  On A and BC factors, w <= v in Bruhat order iff
+    """One row per translate, whose ranks lie along the last axis of
+    `ranks`: the sorted rank prefixes k = 1..r of every factor,
+    concatenated.  On A and BC factors, w <= v in Bruhat order iff
     row w <= row v entrywise (Bjorner-Brenti, GTM 231, Section 2.1 and
     Cor. 8.1.9), the test `weyl._bruhat_leq_prefix` makes on one pair.  On
     D factors this is condition (i) of the order, and `_parity_keys` gives
@@ -231,8 +236,8 @@ def _sorted_prefix_rows(group: GroupDescriptor, ranks: np.ndarray) -> np.ndarray
     cols = []
     for off, f in group.segments():
         for k in range(1, f.rank + 1):
-            cols.append(np.sort(ranks[:, off : off + k], axis=1))
-    return np.concatenate(cols, axis=1)
+            cols.append(np.sort(ranks[..., off : off + k], axis=-1))
+    return np.concatenate(cols, axis=-1)
 
 
 @lru_cache(maxsize=16)
@@ -268,14 +273,20 @@ def _parity_keys(r: int, ranks: np.ndarray) -> np.ndarray:
     return keys[..., kept]
 
 
+def _parity_cost(r: int) -> int:
+    """Entries `_parity_keys` holds per translate on a D_r factor: the
+    ranks of its head, their parity-table rows and their running sums."""
+    return (r - 1) * (1 + 6 * (r - 1))
+
+
 def _batch_size(M: SubsetM) -> int:
     """How many base elements one chunk of `_extrema` takes.  Per base
     element it holds M's translated prefix sets, sorted; on each D factor,
-    the parity-table rows of every member's head and their running sums."""
+    the parity terms of every member."""
     per_base = 2 * sum(sets.size for levels in M.prefix_sets for sets in levels)
     for _, f in M.group.segments():
         if f.type is WeylType.D:
-            per_base += len(M) * (f.rank - 1) * (1 + 6 * (f.rank - 1))
+            per_base += len(M) * _parity_cost(f.rank)
     return max(1, _BATCH_BUDGET // per_base)
 
 
@@ -330,58 +341,83 @@ def _dominates_all(M: SubsetM, u: SignedPermutation, cand: SignedPermutation, si
     return bool(_extrema(M, np.array([u.window]), side)[0] == M.index[cand.window])
 
 
+def _scan_cost(M: SubsetM) -> int:
+    """Entries one row of the extremal scan holds: its m comparisons with
+    the translates of its base element, or its own translate's ranks,
+    sorted prefixes and, on a D factor, parity terms, whichever is more."""
+    width = M.group.window_length
+    for _, f in M.group.segments():
+        width += f.rank * (f.rank + 1) // 2
+        if f.type is WeylType.D:
+            width += _parity_cost(f.rank)
+    return max(len(M), width)
+
+
 def _extremal_elements(
-    M: SubsetM, u: SignedPermutation, side: str
-) -> tuple[SignedPermutation, ...]:
-    """Elements of M whose translate u^-1 v is Bruhat-minimal (or -maximal)
-    within u^-1 M: the quadratic scan.  It is a Pareto test on the
-    sorted-prefix rows, with the parity keys of D factors alongside, in
-    chunks of rows that compare at most `_SCAN_BUDGET` pairs at once."""
-    n = len(u.window)
-    _, to_rank = _letter_lookups(M.group, [u.window])
-    ranks = to_rank[0, n + M.windows_array]
-    rows = _sorted_prefix_rows(M.group, ranks)
-    cols = np.ascontiguousarray(rows.T)
-    key_cols = [
-        col
-        for off, f in M.group.segments()
-        if f.type is WeylType.D
-        for col in np.ascontiguousarray(_parity_keys(f.rank, ranks[:, off : off + f.rank - 1]).T)
-    ]
+    M: SubsetM, us: Sequence[SignedPermutation], side: str
+) -> list[tuple[SignedPermutation, ...]]:
+    """For each u of `us`, the elements of M whose translate u^-1 v is
+    Bruhat-minimal (or -maximal) within u^-1 M: the quadratic scan.  It is
+    a Pareto test on the sorted-prefix rows, with the parity keys of D
+    factors alongside, run on the (base element, row) pairs in chunks
+    that hold at most `_SCAN_BUDGET` entries, `_scan_cost` per row:
+    several whole base elements at once when their m rows fit, so all of
+    M is translated for them in one pass, else one base element in chunks
+    of rows."""
+    n = M.group.window_length
+    m = len(M)
     below = np.less_equal if side == "min" else np.greater_equal
-    m = len(rows)
-    step = max(1, _SCAN_BUDGET // m)
-    keep = []
-    for lo in range(0, m, step):
-        chunk = rows[lo : lo + step]
-        # meets[c, j]: translate j lies below (side "max": above) chunk row c
-        meets = below(cols[0], chunk[:, :1])
-        for col in range(1, len(cols)):
-            meets &= below(cols[col], chunk[:, col : col + 1])
-        for keys in key_cols:
-            meets &= (keys ^ keys[lo : lo + step, None]) != 1
-        # distinct translates have distinct rows, so a row meets only itself
-        keep.extend(np.flatnonzero(meets.sum(axis=1) == 1) + lo)
-    return tuple(M.elements[i] for i in keep)
+    step = max(1, _SCAN_BUDGET // _scan_cost(M))
+    per = max(1, step // m)
+    out = []
+    for lo in range(0, len(us), per):
+        _, to_rank = _letter_lookups(M.group, [u.window for u in us[lo : lo + per]])
+        ranks = to_rank[np.arange(len(to_rank))[:, None, None], n + M.windows_array]
+        cols = np.ascontiguousarray(np.moveaxis(_sorted_prefix_rows(M.group, ranks), -1, 0))
+        key_cols = [
+            col
+            for off, f in M.group.segments()
+            if f.type is WeylType.D
+            for col in np.ascontiguousarray(
+                np.moveaxis(_parity_keys(f.rank, ranks[..., off : off + f.rank - 1]), -1, 0)
+            )
+        ]
+        keep = np.empty(ranks.shape[:2], dtype=bool)
+        for r0 in range(0, m, step):
+            at = slice(r0, r0 + step)
+            # meets[b, c, j]: at base element b, translate j lies below
+            # (side "max": above) row c
+            meets = below(cols[0][:, None, :], cols[0][:, at, None])
+            for col in cols[1:]:
+                meets &= below(col[:, None, :], col[:, at, None])
+            for keys in key_cols:
+                meets &= (keys[:, None, :] ^ keys[:, at, None]) != 1
+            # distinct translates have distinct rows, so a row meets only itself
+            keep[:, at] = meets.sum(axis=2) == 1
+        out.extend(tuple(M.elements[i] for i in np.flatnonzero(row)) for row in keep)
+    return out
 
 
 def _extremal_sets(
     M: SubsetM, us: Sequence[SignedPermutation], side: str, greedy_first: bool
 ) -> Iterator[tuple[SignedPermutation, ...]]:
-    """The extremal elements at each u of `us`, in order.  With
-    `greedy_first`, the unique extrema of a chunk of base elements are
-    found by one `_extrema` call, and only a u where none is found goes to
-    the quadratic scan `_extremal_elements`; otherwise every u does."""
-    if not greedy_first:
-        for u in us:
-            yield _extremal_elements(M, u, side)
-        return
+    """The extremal elements at each u of `us`, in order, a chunk of base
+    elements at a time.  With `greedy_first`, the unique extrema of the
+    chunk are found by one `_extrema` call, and the base elements where
+    none is found go together to one call of the quadratic scan
+    `_extremal_elements`, which is skipped when there are none; otherwise
+    the whole chunk goes to the scan."""
     step = _batch_size(M)
     for lo in range(0, len(us), step):
         chunk = us[lo : lo + step]
-        found = _extrema(M, np.array([u.window for u in chunk], dtype=np.int64), side)
-        for u, i in zip(chunk, found.tolist()):
-            yield (M.elements[i],) if i >= 0 else _extremal_elements(M, u, side)
+        if greedy_first:
+            found = _extrema(M, np.array([u.window for u in chunk], dtype=np.int64), side).tolist()
+        else:
+            found = [-1] * len(chunk)
+        failed = [u for u, i in zip(chunk, found) if i < 0]
+        scanned = iter(_extremal_elements(M, failed, side) if failed else ())
+        for i in found:
+            yield (M.elements[i],) if i >= 0 else next(scanned)
 
 
 def _unique_extremum(

@@ -27,9 +27,10 @@ from weylret.matroid import (
     set_order_leq,
     two_element_analysis,
 )
-from weylret.retraction import SubsetM, matroid_retract
+from weylret.retraction import SubsetM, _extremal_elements, matroid_retract
 from weylret.suites import run_suite
 from weylret.weyl import (
+    Factor,
     GroupDescriptor,
     SignedPermutation,
     WeylType,
@@ -235,6 +236,19 @@ def test_order_route_memory_stays_bounded():
     assert len(interval) == 20
     assert _traced_peak_mib(lambda: is_coxeter_matroid(interval)) <= 4.0
     assert is_coxeter_matroid(interval).is_matroid
+
+
+def test_order_route_memory_stays_bounded_when_most_bases_fail():
+    # the scan takes the failures of a chunk of base elements together, in
+    # chunks of (base element, row) pairs under one budget
+    group = GroupDescriptor((Factor(WeylType.A, 2), Factor(WeylType.BC, 4)))
+    pool = elements(group)
+    M = SubsetM(group, tuple(random.Random(12).sample(pool, 200)))
+    verdict = is_coxeter_matroid(M)
+    assert 2 * len(verdict.failures) > len(pool)
+    assert _traced_peak_mib(lambda: is_coxeter_matroid(M)) <= 8.0
+    # and so does the scan itself, handed every base element at once
+    assert _traced_peak_mib(lambda: _extremal_elements(M, pool, "max")) <= 8.0
 
 
 def test_two_element_hand_values(s4):

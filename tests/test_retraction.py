@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -398,7 +399,7 @@ def test_kernels_match_scalar_order_and_metric(case):
             v for tv, v in translated
             if not any(tw != tv and leq(tw, tv) for tw, _ in translated)
         )
-        assert _extremal_elements(M, u, side) == expected
+        assert _extremal_elements(M, [u], side) == [expected]
         for tc, c in translated:
             assert _dominates_all(M, u, c, side) == all(leq(tc, tw) for tw, _ in translated)
     dists = [metric(u, v) for v in M]
@@ -416,9 +417,9 @@ def test_extremal_scan_in_one_row_chunks(monkeypatch):
             M = SubsetM(g, tuple(rng.sample(pool, rng.randint(2, min(40, len(pool))))))
             cases.append((M, rng.choice(pool)))
     sides = ("min", "max")
-    whole = [_extremal_elements(M, u, side) for M, u in cases for side in sides]
+    whole = [_extremal_elements(M, [u], side) for M, u in cases for side in sides]
     monkeypatch.setattr(retraction, "_SCAN_BUDGET", 1)
-    assert [_extremal_elements(M, u, side) for M, u in cases for side in sides] == whole
+    assert [_extremal_elements(M, [u], side) for M, u in cases for side in sides] == whole
 
 
 def test_fano_scan_agrees_with_greedy_first():
@@ -455,7 +456,40 @@ def kernel_subsets(draw):
 def test_batched_extremal_sets_match_the_scan_at_every_base(M, side, greedy_first):
     us = elements(M.group)
     got = list(retraction._extremal_sets(M, us, side, greedy_first))
-    assert got == [_extremal_elements(M, u, side) for u in us]
+    assert got == [_extremal_elements(M, [u], side)[0] for u in us]
+
+
+def _bruhat_extremal_sets(M, us, side):
+    """Per u, the members whose translate compose(inverse(u), v) has no
+    other translate below it (side "max": above), by `bruhat_leq`."""
+    out = []
+    for u in us:
+        iu = inverse(u)
+        translated = [(compose(iu, v), v) for v in M]
+        out.append(tuple(
+            v for tv, v in translated
+            if not any(
+                tw != tv and (bruhat_leq(tw, tv) if side == "min" else bruhat_leq(tv, tw))
+                for tw, _ in translated
+            )
+        ))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=kernel_subsets(), side=st.sampled_from(("min", "max")))
+def test_batched_scan_matches_bruhat_oracle_in_every_chunking(M, side):
+    us = elements(M.group)
+    expected = _bruhat_extremal_sets(M, us, side)
+    m, cost = len(M), retraction._scan_cost(M)
+    # one row per chunk, row chunks with and without a short last one,
+    # five whole base elements per chunk (no group order is a multiple of
+    # five), and every base element in one chunk
+    budgets = [1, m - 1, m, m * m - 1, 5 * m * cost, retraction._SCAN_BUDGET]
+    for budget in budgets:
+        with mock.patch.object(retraction, "_SCAN_BUDGET", budget):
+            assert _extremal_elements(M, us, side) == expected
+            assert _extremal_elements(M, [], side) == []
 
 
 def test_batched_extremal_sets_in_one_base_chunks(monkeypatch):
@@ -513,7 +547,7 @@ def test_order_route_never_calls_the_greedy_route(monkeypatch):
         verdicts = []
         for side in ("min", "max"):
             failures = tuple(
-                (u, ext) for u in us if len(ext := _extremal_elements(M, u, side)) != 1
+                (u, ext) for u, ext in zip(us, _extremal_elements(M, us, side)) if len(ext) != 1
             )
             verdicts.append(MatroidVerdict(not failures, side, failures))
         table = _outcome(retraction_table, M, method="matroid", greedy_first=False)
@@ -528,9 +562,9 @@ def test_order_route_never_calls_the_greedy_route(monkeypatch):
     scans = []
     scan = retraction._extremal_elements
 
-    def counted_scan(M, u, side):
-        scans.append(u)
-        return scan(M, u, side)
+    def counted_scan(M, us, side):
+        scans.extend(us)
+        return scan(M, us, side)
 
     monkeypatch.setattr(retraction, "algebraic_retract", refuse)
     monkeypatch.setattr(retraction, "_extremal_elements", counted_scan)
@@ -539,8 +573,9 @@ def test_order_route_never_calls_the_greedy_route(monkeypatch):
             scans.clear()
             assert is_coxeter_matroid(M, verdict.side) == verdict
             # every unique extremum is read off in the batch, so only the
-            # base elements without one reach the scan
+            # base elements without one reach the scan, each once
             assert len(scans) == len(verdict.failures)
+            assert scans == [u for u, _ in verdict.failures]
         assert _outcome(retraction_table, M, method="matroid") == table
         assert [_outcome(matroid_retract, M, u) for u in elements(M.group)] == retracts
     assert not expected[0][0][0].failures and expected[1][0][0].failures
