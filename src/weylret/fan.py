@@ -3,8 +3,17 @@
 Each fiber S_y of a table (the chambers retracting onto a common target y)
 gets the cone cut out by every root halfspace containing all its chambers:
 a root normal beta survives exactly when every member chamber sees
-u^-1 beta negative.  For tables coming from retractions the member union
-is convex and the cone reproduces it exactly.
+u^-1 beta negative, that is when beta lies in the root set
+{u(gamma) : gamma negative} of every member.  Each member's root set is
+one bitmask over `all_roots()`, and the fiber's normals are the bits of
+their intersection, in `all_roots()` order.  For tables coming from
+retractions the member union is convex and the cone reproduces it
+exactly.
+
+A query never scans the group: it walks from the identity chamber across
+walls that have the point on their far side, at most l(w0) steps, and then
+collects the star of the walls through the point, the chambers reached
+across walls that contain it.
 
 Lineality is reported modulo the always-present translation directions of
 type A blocks (the per-block constant vectors), so "strongly convex" means
@@ -15,9 +24,10 @@ reduced lineality is rejected as not defining a fan over a common space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .errors import AmbiguousBoundary, InconsistentLineality
+from .errors import AmbiguousBoundary, InconsistentLineality, PreconditionError
 from .exact import (
     HalfspaceCone,
     Membership,
@@ -33,9 +43,9 @@ from .weyl import (
     SignedPermutation,
     WeylType,
     act_on_vector,
-    elements,
-    inverse,
+    compose,
     is_negative_root_vector,
+    order_key,
 )
 
 
@@ -45,13 +55,7 @@ def _negated_simples(group: GroupDescriptor) -> tuple[tuple[int, ...], ...]:
 
 def chamber_cone(u: SignedPermutation) -> HalfspaceCone:
     """The closed chamber of u as a halfspace cone."""
-    return _chamber(u, _negated_simples(u.group))
-
-
-def _chamber(
-    u: SignedPermutation, negated_simples: Sequence[Sequence[int]]
-) -> HalfspaceCone:
-    normals = tuple(act_on_vector(u, neg) for neg in negated_simples)
+    normals = tuple(act_on_vector(u, neg) for neg in _negated_simples(u.group))
     return HalfspaceCone(normals=normals, dim=u.group.ambient_dim)
 
 
@@ -90,6 +94,17 @@ class Fan:
     cones: tuple[FanCone, ...]
     lineality: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _walls(self) -> tuple[tuple, tuple[SignedPermutation, ...]]:
+        """For each simple root alpha_k, the nonzero entries (i, c) of
+        -alpha_k and the simple reflection s_k: what `query` walks with,
+        built on the first query of this fan."""
+        group = self.table.group
+        walls = tuple(
+            tuple((i, c) for i, c in enumerate(neg) if c) for neg in _negated_simples(group)
+        )
+        return walls, group.simple_reflections()
+
     def cone_for(self, target: SignedPermutation) -> FanCone:
         for c in self.cones:
             if c.target.window == target.window:
@@ -116,6 +131,19 @@ class Fan:
         }
 
 
+def _root_set(
+    u: SignedPermutation,
+    negatives: Sequence[Sequence[int]],
+    index: dict[tuple[int, ...], int],
+) -> int:
+    """{u(gamma) : gamma a negative root}, the roots beta with u^-1 beta
+    negative, as a bitmask over the root indices in `index`."""
+    mask = 0
+    for gamma in negatives:
+        mask |= 1 << index[act_on_vector(u, gamma)]
+    return mask
+
+
 def build_fan(table: RetractionTable) -> Fan:
     group = table.group
     fibers: dict[tuple[int, ...], list[SignedPermutation]] = {}
@@ -124,17 +152,16 @@ def build_fan(table: RetractionTable) -> Fan:
     cones = []
     dim = group.ambient_dim
     roots = group.all_roots()
+    index = {beta: bit for bit, beta in enumerate(roots)}
+    negatives = [gamma for gamma in roots if is_negative_root_vector(gamma)]
+    everything = (1 << len(roots)) - 1
     lineality_seen: list[tuple[SignedPermutation, tuple, tuple]] = []
     for y in table.targets:
         members = fibers.get(y.window, [])
-        inverses = [inverse(u) for u in members]
-        normals = tuple(
-            beta
-            for beta in roots
-            if all(
-                is_negative_root_vector(act_on_vector(iu, beta)) for iu in inverses
-            )
-        )
+        common = everything
+        for u in members:
+            common &= _root_set(u, negatives, index)
+        normals = tuple(beta for bit, beta in enumerate(roots) if common >> bit & 1)
         lin = _reduced_lineality(group, normals)
         cones.append(
             FanCone(
@@ -162,6 +189,26 @@ class QueryResult:
     chambers: tuple[SignedPermutation, ...]
 
 
+def _wall_dots(
+    u: SignedPermutation,
+    walls: Sequence[Sequence[tuple[int, int]]],
+    point: Sequence[int],
+) -> list[int]:
+    """<u(-alpha_k), point> for each simple root alpha_k, in order, with
+    walls[k] the nonzero entries (i, c) of -alpha_k: the point lies in the
+    closed chamber of u iff none is negative, and a zero puts it on the
+    wall that chamber shares with the chamber of u s_k.  Computed as
+    <-alpha_k, u^-1 point>, since u is orthogonal."""
+    pulled = [point[v - 1] if v > 0 else -point[-v - 1] for v in u.window]
+    dots = []
+    for wall in walls:
+        d = 0
+        for i, c in wall:
+            d += c * pulled[i]
+        dots.append(d)
+    return dots
+
+
 def query(fan: Fan, lam: Sequence[Rat]) -> QueryResult:
     """Locate a point: the common image of every closed chamber containing
     it, graded interior/boundary against that image's cone.  A point whose
@@ -171,22 +218,46 @@ def query(fan: Fan, lam: Sequence[Rat]) -> QueryResult:
     The point is first scaled to integers by the lcm of its denominators.
     The scaling is positive, so every sign test, and with it the chambers,
     the target and the grade, comes out as for the point itself, while the
-    tests run on integers."""
+    tests run on integers.
+
+    One chamber holding the point is found by walking from the identity:
+    while a wall of the chamber of u has the point strictly on its far
+    side, step across it to u s_k.  Each step crosses one of the root
+    hyperplanes that separate the chamber from the point, so the walk ends
+    within l(w0) steps.  The chambers holding the point are then the star
+    of the walls through it: those reached from there across walls that
+    contain the point (the coset u W_J of its stabilizer).  They are
+    returned in enumeration order."""
     group = fan.table.group
     if len(lam) != group.ambient_dim:
-        raise ValueError(f"point length {len(lam)} != {group.ambient_dim}")
+        raise PreconditionError(f"point length {len(lam)} != {group.ambient_dim}")
     point = clear_denominators(lam)
-    negated = _negated_simples(group)
-    hit = [
-        u
-        for u in elements(group)
-        if cone_membership(_chamber(u, negated), point) is not Membership.OUTSIDE
-    ]
-    images = {fan.table.retract(u).window for u in hit}
+    walls, simples = fan._walls
+    u = group.identity()
+    dots = _wall_dots(u, walls, point)
+    while (k := next((k for k, d in enumerate(dots) if d < 0), None)) is not None:
+        u = compose(u, simples[k])
+        dots = _wall_dots(u, walls, point)
+    star = {u.window: u}
+    frontier = [(u, dots)]
+    while frontier:
+        v, dots = frontier.pop()
+        for k, d in enumerate(dots):
+            if d == 0:
+                w = compose(v, simples[k])
+                if w.window not in star:
+                    star[w.window] = w
+                    frontier.append((w, _wall_dots(w, walls, point)))
+    # enumeration order compares windows letter by letter in
+    # 1 < ... < n < nbar < ... < 1bar, and order_key at the full window
+    # length keeps that order among the letters of each factor
+    n = len(u.window)
+    hit = sorted(star.values(), key=lambda w: [order_key(v, n) for v in w.window])
+    images = {fan.table.retract(c).window for c in hit}
     if len(images) > 1:
         shown = sorted(list(w) for w in images)
         raise AmbiguousBoundary(f"point lies between targets {shown}")
-    target = next(fan.table.retract(u) for u in hit)
+    target = fan.table.retract(hit[0])
     grade = cone_membership(fan.cone_for(target).cone, point)
     if grade is Membership.OUTSIDE:
         raise AssertionError(

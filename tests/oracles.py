@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity along a route the library does not use:
 word lengths come from breadth-first search over the Cayley graph, the
 Bruhat order from the reflexive-transitive closure of covering relations,
-and planar hulls from sympy's geometry module.
+planar hulls from sympy's geometry module, and the chambers and cone
+normals of a fan from scans over the whole group and every root.
 """
 
 from __future__ import annotations
@@ -13,7 +14,17 @@ from fractions import Fraction
 from sympy import Rational as SymRational
 from sympy.geometry import Point2D, Polygon, Segment2D, convex_hull
 
-from weylret.weyl import GroupDescriptor, SignedPermutation, compose, elements
+from weylret.exact import Membership, cone_membership
+from weylret.fan import chamber_cone
+from weylret.weyl import (
+    GroupDescriptor,
+    SignedPermutation,
+    act_on_vector,
+    compose,
+    elements,
+    inverse,
+    is_negative_root_vector,
+)
 
 Window = tuple[int, ...]
 
@@ -64,6 +75,29 @@ def oracle_leq(
     w: SignedPermutation,
 ) -> bool:
     return v.window in closure[w.window]
+
+
+def chambers_holding(group: GroupDescriptor, point) -> tuple[SignedPermutation, ...]:
+    """Every u, in enumeration order, whose closed chamber does not leave
+    the point outside: each chamber of the group tested."""
+    return tuple(
+        u
+        for u in elements(group)
+        if cone_membership(chamber_cone(u), point) is not Membership.OUTSIDE
+    )
+
+
+def fiber_normals(
+    group: GroupDescriptor, members
+) -> tuple[tuple[int, ...], ...]:
+    """The roots beta, in `all_roots()` order, that every member u sends
+    back to a negative root: u^-1 beta tested for each pair."""
+    inverses = [inverse(u) for u in members]
+    return tuple(
+        beta
+        for beta in group.all_roots()
+        if all(is_negative_root_vector(act_on_vector(iu, beta)) for iu in inverses)
+    )
 
 
 Point = tuple[Fraction, ...]

@@ -1,12 +1,16 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import weylret.fan
-from weylret.errors import AmbiguousBoundary, InconsistentLineality
-from weylret.exact import Membership, RationalMatrix, canonical_subspace
+from oracles import chambers_holding, fiber_normals
+from weylret.errors import AmbiguousBoundary, InconsistentLineality, PreconditionError
+from weylret.exact import Membership, RationalMatrix, canonical_subspace, cone_membership
 from weylret.fan import (
     FanCone,
     build_fan,
@@ -16,7 +20,16 @@ from weylret.fan import (
 )
 from weylret.orbit import geometric_table, sample_rational_point
 from weylret.retraction import RetractionTable, SubsetM, retraction_table
-from weylret.weyl import SignedPermutation, elements
+from weylret.weyl import (
+    Factor,
+    GroupDescriptor,
+    SignedPermutation,
+    WeylType,
+    act_on_vector,
+    elements,
+    length,
+    longest_element,
+)
 
 DEMO_1 = RationalMatrix(((1, 1, 0), (1, 0, 1), (1, 0, 0)))
 DEMO_2 = RationalMatrix(((1, 0, 1), (0, 1, 0), (1, 0, 0)))
@@ -169,21 +182,59 @@ def test_query_invariant_under_positive_scaling(name, request):
 
 
 def test_query_tests_chambers_on_integers(fan1, monkeypatch):
-    points = []
-    real = weylret.fan.cone_membership
+    # both the walk's wall tests and the grade's cone test
+    points = {"walls": [], "grade": []}
+    real_walls = weylret.fan._wall_dots
+    real_grade = weylret.fan.cone_membership
 
-    def spy(cone, point):
-        points.append(point)
-        return real(cone, point)
+    def walls_spy(u, walls, point):
+        points["walls"].append(point)
+        return real_walls(u, walls, point)
 
-    monkeypatch.setattr(weylret.fan, "cone_membership", spy)
+    def grade_spy(cone, point):
+        points["grade"].append(point)
+        return real_grade(cone, point)
+
+    monkeypatch.setattr(weylret.fan, "_wall_dots", walls_spy)
+    monkeypatch.setattr(weylret.fan, "cone_membership", grade_spy)
     res = query(fan1, (Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3)))
     assert res.target.window == (2, 1, 3)
-    assert points and all(type(x) is int for p in points for x in p)
+    for seen in points.values():
+        assert seen and all(type(x) is int for p in seen for x in p)
+
+
+def test_query_tests_at_most_a_walk_of_chambers(monkeypatch):
+    # the full-group table has one chamber per cone, 384 in all
+    bc4 = GroupDescriptor.simple(WeylType.BC, 4)
+    fan = build_fan(retraction_table(SubsetM(bc4, elements(bc4))))
+    tested = set()
+    real = weylret.fan._wall_dots
+
+    def spy(u, walls, point):
+        tested.add(u.window)
+        return real(u, walls, point)
+
+    monkeypatch.setattr(weylret.fan, "_wall_dots", spy)
+    w0 = longest_element(bc4)
+    bound = length(w0) + 1
+    # x1 < x2 < x3 < x4 < 0 is interior to the chamber of the identity
+    anti_dominant = (-4, -3, -2, -1)
+    for u in (w0, bc4.identity(), *random.Random(4).sample(elements(bc4), 6)):
+        tested.clear()
+        res = query(fan, act_on_vector(u, anti_dominant))
+        assert res.chambers == (u,) and res.grade is Membership.INTERIOR
+        assert len(tested) <= bound
+        # the walk from the identity to w0 crosses every root hyperplane
+        assert (len(tested) == bound) == (u == w0)
 
 
 def test_query_dimension_check(fan1):
     with pytest.raises(ValueError):
+        query(fan1, (1, 0))
+
+
+def test_query_dimension_is_a_precondition(fan1):
+    with pytest.raises(PreconditionError, match="point length 2 != 3"):
         query(fan1, (1, 0))
 
 
@@ -238,3 +289,66 @@ def test_fan_bc2_full_group(bc2):
         assert c.members == (c.target,)
         # every root halfspace containing the chamber, redundancy included
         assert len(c.cone.normals) == len(bc2.positive_roots())
+
+
+_A, _BC, _D = WeylType.A, WeylType.BC, WeylType.D
+_ORACLE_GROUPS = {
+    "A3": GroupDescriptor((Factor(_A, 4),)),
+    "BC3": GroupDescriptor((Factor(_BC, 3),)),
+    "D4": GroupDescriptor((Factor(_D, 4),)),
+    "A1xBC2": GroupDescriptor((Factor(_A, 2), Factor(_BC, 2))),
+}
+# few distinct values, so ties and zero coordinates are common
+_COORDS = st.sampled_from((-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2)))
+
+
+@st.composite
+def greedy_fans(draw, group):
+    """The fan of the greedy table of a random product subset of group."""
+    picks = draw(st.lists(st.sampled_from(elements(group)), min_size=1, max_size=5))
+    # every combination of the picks' factor windows, so M is a product
+    parts = [
+        sorted({w.window[off : off + f.rank] for w in picks}) for off, f in group.segments()
+    ]
+    M = SubsetM(
+        group,
+        tuple(group.element(sum(combo, ())) for combo in itertools.product(*parts)),
+    )
+    try:
+        return build_fan(retraction_table(M))
+    except InconsistentLineality:
+        assume(False)
+
+
+def _oracle_answer(fan, lam):
+    chambers = chambers_holding(fan.table.group, lam)
+    images = {fan.table.retract(u) for u in chambers}
+    if len(images) > 1:
+        return AmbiguousBoundary
+    (target,) = images
+    return target, cone_membership(fan.cone_for(target).cone, lam), chambers
+
+
+@pytest.mark.parametrize("name", _ORACLE_GROUPS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_query_matches_the_chamber_scan(name, data):
+    group = _ORACLE_GROUPS[name]
+    fan = data.draw(greedy_fans(group))
+    dim = group.ambient_dim
+    for _ in range(6):
+        lam = tuple(data.draw(st.lists(_COORDS, min_size=dim, max_size=dim)))
+        assert _answer(fan, lam) == _oracle_answer(fan, lam)
+
+
+@pytest.mark.parametrize("name", _ORACLE_GROUPS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_build_fan_normals_match_the_root_scan(name, data):
+    group = _ORACLE_GROUPS[name]
+    fan = data.draw(greedy_fans(group))
+    assert [c.target for c in fan.cones] == list(fan.table.targets)
+    for c in fan.cones:
+        fiber = tuple(u for u, v in fan.table.mapping if v == c.target)
+        assert c.members == fiber
+        assert c.cone.normals == fiber_normals(group, fiber)
