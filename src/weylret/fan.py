@@ -162,7 +162,9 @@ def build_fan(table: RetractionTable) -> Fan:
         for u in members:
             common &= _root_set(u, negatives, index)
         normals = tuple(beta for bit, beta in enumerate(roots) if common >> bit & 1)
-        lin = _reduced_lineality(group, normals)
+        # one chamber's normals u(negative roots) span the root space, which
+        # with the constant vectors of the type A blocks is everything
+        lin = () if len(members) == 1 else _reduced_lineality(group, normals)
         cones.append(
             FanCone(
                 target=y,

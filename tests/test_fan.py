@@ -13,6 +13,7 @@ from weylret.errors import AmbiguousBoundary, InconsistentLineality, Preconditio
 from weylret.exact import Membership, RationalMatrix, canonical_subspace, cone_membership
 from weylret.fan import (
     FanCone,
+    _reduced_lineality,
     build_fan,
     chamber_cone,
     members_connected,
@@ -352,3 +353,4 @@ def test_build_fan_normals_match_the_root_scan(name, data):
         fiber = tuple(u for u, v in fan.table.mapping if v == c.target)
         assert c.members == fiber
         assert c.cone.normals == fiber_normals(group, fiber)
+        assert c.reduced_lineality == _reduced_lineality(group, c.cone.normals)
