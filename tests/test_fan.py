@@ -230,11 +230,6 @@ def test_query_tests_at_most_a_walk_of_chambers(monkeypatch):
 
 
 def test_query_dimension_check(fan1):
-    with pytest.raises(ValueError):
-        query(fan1, (1, 0))
-
-
-def test_query_dimension_is_a_precondition(fan1):
     with pytest.raises(PreconditionError, match="point length 2 != 3"):
         query(fan1, (1, 0))
 

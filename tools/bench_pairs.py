@@ -1,17 +1,19 @@
 """Side-by-side benchmark runs of two checkouts, written as BENCH_<n>.json.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_13.json \
-        --pairs tables=8 --pairs signed=3 --first-seed 1301 --seconds 20 \
-        [--claim tables:wall_s] [--traced tables:1 --traced-runs 3] \
-        [--what TEXT]
+        --pairs tables=8 --pairs signed=3 --first-seed 1301 \
+        [--claim tables:wall_s] [--traced tables:1] [--what TEXT]
 
 PARENT_DIR and CHANGE_DIR are checkouts of the two commits, for example
 made with `git clone` or `git archive`.  For every pair this runs the
 unchanged `bench/run.py --workload W --seed S --seconds T --trace 0` once
 in each checkout, one process at a time, alternating which side goes
 first from one pair to the next, so that a drift of the machine's speed
-falls on both sides alike.  Seeds count up from --first-seed, one per pair,
-across the workloads in the order given.
+falls on both sides alike.  T is `run_seconds` of the checkouts'
+BENCHMARK.json, which must agree.  Seeds count up from --first-seed, one
+per pair, across the workloads in the order given.  Two checkouts of the
+same commit give an A/A run, which shows how far the alternation leaves
+the two sides apart when nothing differs.
 
 For each workload the file holds, per side and per end-to-end metric
 (`wall_s`, `setup_s`, `peak_rss_mb`), the runs and their median, first
@@ -22,7 +24,7 @@ neither); and whether both sides produced the same output digests at every
 seed.  --claim adds a verdict for one workload and metric: the change must
 win at least nine pairs in ten and improve the median by more than the
 parent's interquartile range.  --traced adds the per-layer metrics of
-traced rounds (`--trace 1`) of one workload and seed on both sides.
+TRACED_ROUNDS traced runs (`--trace 1`) of one workload and seed per side.
 
 The file is rewritten after every pair, so an interrupted session keeps
 the pairs it finished.  Needs only the standard library; run it from any
@@ -42,6 +44,12 @@ from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+TRACED_ROUNDS = 6
+
+
+def run_seconds(checkout: Path) -> float:
+    """The benchmark's run length, as the checkout's BENCHMARK.json sets it."""
+    return float(json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"])
 
 
 def revision(checkout: Path) -> str:
@@ -137,15 +145,15 @@ def claim(workloads: dict, spec: str) -> dict:
     }
 
 
-def traced(dirs: dict[str, Path], spec: str, runs: int) -> dict:
+def traced(dirs: dict[str, Path], spec: str, seconds: float) -> dict:
     name, seed = spec.split(":")
-    out = {"command": " ".join(command(name, int(seed), 5, 1)),
+    out = {"command": " ".join(command(name, int(seed), seconds, 1)),
            "note": "separate traced rounds, alternating sides; self times swing with the machine,"
                    " so every traced round is listed"}
     values: dict[str, dict[str, list]] = {side: {} for side in SIDES}
-    for k in range(runs):
+    for k in range(TRACED_ROUNDS):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            r = run(dirs[side], name, int(seed), 5, 1)
+            r = run(dirs[side], name, int(seed), seconds, 1)
             for metric, m in r["metrics"].items():
                 values[side].setdefault(metric, []).append(round(m["value"], 4))
     for side in SIDES:
@@ -161,10 +169,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                     help="run N pairs of a workload; repeat for more workloads")
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20.0, help="run.py --seconds of every run")
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric the change claims to improve")
     ap.add_argument("--traced", metavar="WORKLOAD:SEED", help="also compare traced rounds of one seed")
-    ap.add_argument("--traced-runs", type=int, default=3)
     ap.add_argument("--what", default="", help="one line on what the change does")
     args = ap.parse_args(argv)
 
@@ -172,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     for side, d in dirs.items():
         if not (d / "bench" / "run.py").is_file():
             ap.error(f"{side} checkout {d} has no bench/run.py")
+    seconds, other = (run_seconds(d) for d in dirs.values())
+    if seconds != other:
+        ap.error(f"the checkouts' BENCHMARK.json disagree on run_seconds: {seconds:g} and {other:g}")
     plan = []
     seed = args.first_seed
     for spec in args.pairs:
@@ -187,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         "harness": "bench/run.py and BENCHMARK.json of each checkout, run by tools/bench_pairs.py;"
                    " each side runs in its own checkout, with its own .bench_out/",
         "command": f"python3 bench/run.py --workload {{workload}} --seed {{seed}}"
-                   f" --seconds {args.seconds:g} --trace 0",
+                   f" --seconds {seconds:g} --trace 0",
         "order": "one pair per seed, run back to back, one process at a time; the side that ran"
                  " first alternates from pair to pair, starting with the parent, and each"
                  " workload's 'first' lists it",
@@ -202,17 +211,17 @@ def main(argv: list[str] | None = None) -> int:
         for s in seeds:
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             k += 1
-            pair = {side: run(dirs[side], name, s, args.seconds, 0) for side in order}
+            pair = {side: run(dirs[side], name, s, seconds, 0) for side in order}
             pairs.append(pair)
             firsts.append(order[0])
             print(f"{name} seed {s}: wall_s parent {pair['parent']['metrics']['wall_s']['value']:.4f}"
                   f" change {pair['change']['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
-            doc["workloads"][name] = workload_block(name, seeds[: len(pairs)], args.seconds, pairs, firsts)
+            doc["workloads"][name] = workload_block(name, seeds[: len(pairs)], seconds, pairs, firsts)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     if args.claim:
         doc["claim"] = claim(doc["workloads"], args.claim)
     if args.traced:
-        doc["traced"] = traced(dirs, args.traced, args.traced_runs)
+        doc["traced"] = traced(dirs, args.traced, seconds)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
