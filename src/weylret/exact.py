@@ -30,6 +30,10 @@ Rat = int | Fraction
 
 
 def parse_rational(text: str | int) -> Fraction:
+    """A rational from a string or a number; booleans are refused, since
+    JSON's true and false are no numbers."""
+    if isinstance(text, bool):
+        raise ParseError(f"not a rational number: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
@@ -42,10 +46,11 @@ def format_rational(q: Rat) -> str:
 
 def clear_denominators(vec: Sequence[Rat]) -> list[int]:
     """The vector times the lcm of its denominators: integers with every
-    sign kept, since the scaling is positive."""
+    sign kept, since the scaling is positive.  `int` and `Fraction` entries
+    are read as they are; any other entry goes through `Fraction` first."""
     if all(type(v) is int for v in vec):
         return list(vec)
-    fracs = [Fraction(v) for v in vec]
+    fracs = [v if type(v) is Fraction or type(v) is int else Fraction(v) for v in vec]
     mult = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (mult // f.denominator) for f in fracs]
 

@@ -131,16 +131,53 @@ class Fan:
         }
 
 
+def _sparse_roots(
+    group: GroupDescriptor,
+) -> tuple[dict[tuple[int, ...], int], list, list]:
+    """What `_root_set` needs: an index from sparse forms to root bits over
+    `all_roots()`, and the nonzero entries (i, c) of each negative root,
+    as (i, c, j, d) for two entries and (i, c) for one.
+
+    The sparse form of a root lists (c, a) for each entry c e_a, with
+    e_abar = -e_a, so (c, a) and (-c, -a) stand for the same entry.  Every
+    root is indexed under each way of writing its entries, in both orders
+    when there are two: then u(gamma), whose entry c e_{i+1} goes to
+    c e_{u(i+1)}, is found by the letters of u alone."""
+    index: dict[tuple[int, ...], int] = {}
+    pairs, singles = [], []
+    for bit, beta in enumerate(group.all_roots()):
+        entries = [(i, c) for i, c in enumerate(beta) if c]
+        forms = [[(c, i + 1), (-c, -i - 1)] for i, c in entries]
+        if len(entries) == 2:
+            for x in forms[0]:
+                for y in forms[1]:
+                    index[x + y] = index[y + x] = bit
+        else:
+            for x in forms[0]:
+                index[x] = bit
+        if is_negative_root_vector(beta):
+            if len(entries) == 2:
+                pairs.append(entries[0] + entries[1])
+            else:
+                singles.append(entries[0])
+    return index, pairs, singles
+
+
 def _root_set(
     u: SignedPermutation,
-    negatives: Sequence[Sequence[int]],
     index: dict[tuple[int, ...], int],
+    pairs: Sequence[tuple[int, int, int, int]],
+    singles: Sequence[tuple[int, int]],
 ) -> int:
     """{u(gamma) : gamma a negative root}, the roots beta with u^-1 beta
-    negative, as a bitmask over the root indices in `index`."""
+    negative, as a bitmask over the root indices in `index`; `index`,
+    `pairs` and `singles` come from `_sparse_roots`."""
+    win = u.window
     mask = 0
-    for gamma in negatives:
-        mask |= 1 << index[act_on_vector(u, gamma)]
+    for i, c, j, d in pairs:
+        mask |= 1 << index[c, win[i], d, win[j]]
+    for i, c in singles:
+        mask |= 1 << index[c, win[i]]
     return mask
 
 
@@ -152,15 +189,14 @@ def build_fan(table: RetractionTable) -> Fan:
     cones = []
     dim = group.ambient_dim
     roots = group.all_roots()
-    index = {beta: bit for bit, beta in enumerate(roots)}
-    negatives = [gamma for gamma in roots if is_negative_root_vector(gamma)]
+    index, pairs, singles = _sparse_roots(group)
     everything = (1 << len(roots)) - 1
     lineality_seen: list[tuple[SignedPermutation, tuple, tuple]] = []
     for y in table.targets:
         members = fibers.get(y.window, [])
         common = everything
         for u in members:
-            common &= _root_set(u, negatives, index)
+            common &= _root_set(u, index, pairs, singles)
         normals = tuple(beta for bit, beta in enumerate(roots) if common >> bit & 1)
         # one chamber's normals u(negative roots) span the root space, which
         # with the constant vectors of the type A blocks is everything

@@ -10,9 +10,12 @@ size, the support set of least lam-sum.  For lam interior to a chamber the
 minimizers are unique and nested, so they spell out a window; ties raise
 `TieDetected` instead of guessing.
 
-Everything is exact: minors via fraction-free elimination, weights as
-integers built from a base large enough to keep all equal-size subset sums
-distinct.
+Everything is exact.  Each row is first cleared of denominators, a
+positive scaling that changes no minor's vanishing; the minors on rows J
+and columns 1..k then come level by level, in integers, by Laplace
+expansion along column k of the minors of level k - 1.  Weights are
+integers built from a base large enough to keep all equal-size subset
+sums distinct.
 """
 
 from __future__ import annotations
@@ -22,24 +25,39 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import GiveUp, PreconditionError, SingularMatrix, TieDetected
-from .exact import Rat, RationalMatrix
+from .exact import Rat, RationalMatrix, clear_denominators
 from .retraction import RetractionTable, SubsetM
 from .weyl import GroupDescriptor, SignedPermutation, WeylType, elements
 
 
+@lru_cache(maxsize=16)
 def _type_a_group(n: int) -> GroupDescriptor:
     return GroupDescriptor.simple(WeylType.A, n)
 
 
 @dataclass(frozen=True)
 class PluckerSupport:
-    """Per size k (1-based), the sorted row subsets with nonzero minor."""
+    """Per size k (1-based), the sorted row subsets with nonzero minor.
+
+    Checked once here: n levels, each set at level k an increasing k-tuple
+    of rows in 1..n, so that nested minimizers spell a permutation."""
 
     n: int
     sets: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.sets) != self.n:
+            raise PreconditionError(f"support of size {self.n} has {len(self.sets)} levels")
+        for k, level in enumerate(self.sets, start=1):
+            for J in level:
+                if len(J) != k or list(J) != sorted(set(J)) or not 1 <= J[0] <= J[-1] <= self.n:
+                    raise PreconditionError(
+                        f"bad set {J!r} at size {k} of a support of size {self.n}"
+                    )
 
     def at(self, k: int) -> tuple[tuple[int, ...], ...]:
         return self.sets[k - 1]
@@ -49,20 +67,34 @@ class PluckerSupport:
 
 
 def plucker_support(x: RationalMatrix) -> PluckerSupport:
+    """The support of x, level by level; a singular x raises
+    `SingularMatrix`.
+
+    Row j is scaled by the lcm of its denominators, which scales every
+    minor on rows J by a positive number.  The minor on rows
+    J = (j_1 < ... < j_k) and columns 1..k, expanded along column k, is
+    the sum over p of (-1)^(p+k) x[j_p][k] times the minor on J - {j_p}
+    and columns 1..k-1, so each level comes from the one before in
+    integers.  x is singular exactly when the one level-n minor is 0."""
     n = x.nrows
     if x.ncols != n:
         raise PreconditionError(f"need a square matrix, got {x.nrows}x{x.ncols}")
-    if x.det() == 0:
-        raise SingularMatrix("matrix is singular")
+    rows = [clear_denominators(row) for row in x.rows]
+    minors: dict[tuple[int, ...], int] = {(): 1}
     levels = []
     for k in range(1, n + 1):
-        cols = list(range(1, k + 1))
-        level = [
-            J
-            for J in itertools.combinations(range(1, n + 1), k)
-            if x.minor(J, cols) != 0
-        ]
-        levels.append(tuple(level))
+        column = [row[k - 1] for row in rows]
+        below, minors = minors, {}
+        for J in itertools.combinations(range(n), k):
+            total = 0
+            for p, j in enumerate(J):  # p counts from 0 here
+                if column[j]:
+                    term = column[j] * below[J[:p] + J[p + 1 :]]
+                    total += term if (p + k) % 2 else -term
+            minors[J] = total
+        levels.append(tuple(tuple(j + 1 for j in J) for J, d in minors.items() if d))
+    if not minors[tuple(range(n))]:
+        raise SingularMatrix("matrix is singular")
     return PluckerSupport(n, tuple(levels))
 
 
@@ -95,26 +127,25 @@ def limit_point(
     n = support.n
     if len(lam) != n:
         raise ValueError(f"weight length {len(lam)} != {n}")
+    weight = (0, *lam).__getitem__
     window: list[int] = []
-    prev: tuple[int, ...] = ()
-    for k in range(1, n + 1):
-        level = support.at(k)
-        sums = [sum(lam[j - 1] for j in J) for J in level]
+    prev: frozenset[int] = frozenset()
+    for k, level in enumerate(support.sets, start=1):
+        sums = [sum(map(weight, J)) for J in level]
         best = min(sums)
-        winners = [J for J, s in zip(level, sums) if s == best]
-        if len(winners) > 1:
-            raise TieDetected(
-                f"least weight {best} at size {k} reached by {len(winners)} sets"
-            )
-        J = winners[0]
-        if any(j not in J for j in prev):
+        ties = sums.count(best)
+        if ties > 1:
+            raise TieDetected(f"least weight {best} at size {k} reached by {ties} sets")
+        J = frozenset(level[sums.index(best)])
+        if not prev < J:
             raise ValueError(
                 f"minimizers are not nested at size {k}; not a flag support"
             )
-        added = next(j for j in J if j not in prev)
+        (added,) = J - prev
         window.append(added)
         prev = J
-    return _type_a_group(n).element(window)
+    # nested minimizers of sizes 1..n add each of 1..n once: a permutation
+    return SignedPermutation._unchecked(_type_a_group(n), tuple(window))
 
 
 def weight_for_chamber(u: SignedPermutation) -> tuple[int, ...]:

@@ -10,9 +10,9 @@ Three routes onto a subset M:
 * metric: the set of elements of M closest to u in the word metric.
 
 The order and metric routes translate all of M at once: one lookup per u
-sends each letter a to u^-1(a), as its local letter for lengths and as its
-rank in 1 < ... < r < rbar < ... < 1bar for order, and one fancy-index of
-`SubsetM.windows_array` then gives every translate u^-1 v.  Lengths are
+sends each letter a to u^-1(a), for lengths as the letter itself and for
+order as its rank in 1 < ... < r < rbar < ... < 1bar, and one fancy-index
+of `SubsetM.windows_array` then gives every translate u^-1 v.  Lengths are
 vectorised counts over column pairs.  Bruhat order becomes entrywise
 order of rows of sorted prefixes (the tableau criterion), plus, on D
 factors, a parity condition on integer keys of the prefixes; so the
@@ -198,11 +198,11 @@ def algebraic_retract(
 
 def _letter_lookups(
     group: GroupDescriptor, bases: np.ndarray | Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two arrays with one row per base window u and a column a + N for each
-    letter a = +-1..+-N: u^-1(a) as a local letter of its factor, and as its
-    rank in that factor's chain 1 < ... < r < rbar < ... < 1bar.  Since
-    u^-1(u(i)) = i, each row is one scatter of the window of u."""
+) -> np.ndarray:
+    """One row per base window u and a column a + N for each letter
+    a = +-1..+-N: the rank of u^-1(a) in its factor's chain
+    1 < ... < r < rbar < ... < 1bar.  Since u^-1(u(i)) = i, each row is one
+    scatter of the window of u."""
     n = group.window_length
     local = np.empty(n, dtype=np.int64)
     top = np.empty(n, dtype=np.int64)
@@ -211,11 +211,9 @@ def _letter_lookups(
         top[off : off + f.rank] = 2 * f.rank + 1
     at = np.asarray(bases, dtype=np.int64)
     rows = np.arange(len(at))[:, None]
-    to_local = np.zeros((len(at), 2 * n + 1), dtype=np.int64)
     to_rank = np.zeros((len(at), 2 * n + 1), dtype=np.int64)
-    to_local[rows, n + at], to_local[rows, n - at] = local, -local
     to_rank[rows, n + at], to_rank[rows, n - at] = local, top - local
-    return to_local, to_rank
+    return to_rank
 
 
 @lru_cache(maxsize=16)
@@ -306,7 +304,7 @@ def _extrema(M: SubsetM, bases: np.ndarray, side: str) -> np.ndarray:
     not on any candidate from another route."""
     n = M.group.window_length
     bases = np.asarray(bases, dtype=np.int64)
-    _, to_rank = _letter_lookups(M.group, bases)
+    to_rank = _letter_lookups(M.group, bases)
     rows = np.arange(len(bases))[:, None]
     sets_at = rows[:, :, None]
     extremum = np.min if side == "min" else np.max
@@ -371,7 +369,7 @@ def _extremal_elements(
     per = max(1, step // m)
     out = []
     for lo in range(0, len(us), per):
-        _, to_rank = _letter_lookups(M.group, [u.window for u in us[lo : lo + per]])
+        to_rank = _letter_lookups(M.group, [u.window for u in us[lo : lo + per]])
         ranks = to_rank[np.arange(len(to_rank))[:, None, None], n + M.windows_array]
         cols = np.ascontiguousarray(np.moveaxis(_sorted_prefix_rows(M.group, ranks), -1, 0))
         key_cols = [
@@ -455,8 +453,11 @@ def closest_set(
     on A the count is the inversion count; BC adds its bar count."""
     _check_base(M, u)
     n = len(u.window)
-    to_local, _ = _letter_lookups(M.group, [u.window])
-    letters = to_local[0, n + M.windows_array]
+    # u^-1 as a row over the letters -n..n, so that letters[v, i] is u^-1 v(i)
+    inverse = [0] * (2 * n + 1)
+    for i, a in enumerate(u.window, start=1):
+        inverse[n + a], inverse[n - a] = i, -i
+    letters = np.array(inverse)[n + M.windows_array]
     dist = np.zeros(len(M), dtype=np.int64)
     for off, f in M.group.segments():
         seg = letters[:, off : off + f.rank]

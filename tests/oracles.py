@@ -3,18 +3,20 @@
 Each oracle recomputes a quantity along a route the library does not use:
 word lengths come from breadth-first search over the Cayley graph, the
 Bruhat order from the reflexive-transitive closure of covering relations,
-planar hulls from sympy's geometry module, and the chambers and cone
-normals of a fan from scans over the whole group and every root.
+planar hulls from sympy's geometry module, the chambers and cone normals
+of a fan from scans over the whole group and every root, and the Pluecker
+support from one determinant per minor.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from sympy import Rational as SymRational
 from sympy.geometry import Point2D, Polygon, Segment2D, convex_hull
 
-from weylret.exact import Membership, cone_membership
+from weylret.exact import Membership, RationalMatrix, cone_membership
 from weylret.fan import chamber_cone
 from weylret.weyl import (
     GroupDescriptor,
@@ -133,3 +135,20 @@ def drop_last(points) -> list[tuple[Fraction, Fraction]]:
     sums = {sum(p) for p in (tuple(map(Fraction, q)) for q in points)}
     assert len(sums) == 1, "projection needs a constant coordinate sum"
     return [tuple(map(Fraction, p[:-1])) for p in points]
+
+
+def plucker_sets_by_minors(x: RationalMatrix):
+    """Per size k, the row subsets J whose minor on rows J and columns 1..k
+    is nonzero, each minor its own `RationalMatrix.minor` (Bareiss on the
+    submatrix); None when x itself is singular."""
+    n = x.nrows
+    if x.det() == 0:
+        return None
+    return tuple(
+        tuple(
+            J
+            for J in itertools.combinations(range(1, n + 1), k)
+            if x.minor(J, range(1, k + 1)) != 0
+        )
+        for k in range(1, n + 1)
+    )

@@ -305,6 +305,23 @@ def test_parse_errors_exit_3(capsys):
         assert code == 3, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fixed-points", "--matrix", "[[true]]"),
+        ("limit", "--matrix", "[[1,0],[0,1]]", "--weight", "[true,false]"),
+        ("query", "--group", "A1", "--subset", "[[1,2]]", "--point", "[true,false]"),
+    ],
+    ids=["matrix", "weight", "point"],
+)
+def test_boolean_rationals_exit_3(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_singular_matrix_exits_4(capsys):
     code, _ = run(capsys, "fixed-points", "--matrix", "[[1,1],[1,1]]")
     assert code == 4

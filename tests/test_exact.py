@@ -17,6 +17,7 @@ from weylret.exact import (
     RationalMatrix,
     canonical_subspace,
     certifies_edge,
+    clear_denominators,
     cone_lineality,
     cone_membership,
     format_rational,
@@ -45,12 +46,20 @@ def test_parse_and_format_rational():
     assert parse_rational(" 1/3 ") == F(1, 3)
     assert parse_rational("1.5") == F(3, 2)
     assert parse_rational(7) == F(7)
-    for bad in ("1/0", "abc", "", "1/2/3"):
+    for bad in ("1/0", "abc", "", "1/2/3", True, False):
         with pytest.raises(ParseError):
             parse_rational(bad)
     assert format_rational(F(3, 4)) == "3/4"
     assert format_rational(F(-2)) == "-2"
     assert parse_rational(format_rational(F(-22, 7))) == F(-22, 7)
+
+
+def test_clear_denominators_reads_ints_and_fractions_as_they_are():
+    assert clear_denominators([F(1, 2), 3, F(-1, 3)]) == [3, 18, -2]
+    assert clear_denominators([4, -6]) == [4, -6]
+    assert clear_denominators(["1/4", 0.5]) == [1, 2]
+    out = clear_denominators([F(2, 3), True])
+    assert out == [2, 3] and all(type(v) is int for v in out)
 
 
 def test_integer_primitive():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weylret.errors import GiveUp, SingularMatrix, TieDetected
+from oracles import plucker_sets_by_minors
+from weylret.errors import GiveUp, PreconditionError, SingularMatrix, TieDetected
 from weylret.exact import RationalMatrix
 from weylret.orbit import (
     PluckerSupport,
@@ -108,6 +109,31 @@ def test_limit_point_rejects_non_flag_support(s3):
         limit_point(bogus, (0, 1, 2))
 
 
+def test_limit_point_nesting_error_on_hand_made_support(s3):
+    # level 1 picks row 1, level 2 picks {2, 3}: both unique, not nested
+    bogus = PluckerSupport(3, (((1,), (3,)), ((1, 3), (2, 3)), ((1, 2, 3),)))
+    with pytest.raises(ValueError, match="not nested at size 2") as err:
+        limit_point(bogus, (0, -10, 1))
+    assert not isinstance(err.value, TieDetected)
+    # the same support nests at a weight where {1, 3} wins level 2
+    assert limit_point(bogus, (0, 5, 1)).window == (1, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        (((1,),), ((1, 2),)),  # two levels for size 3
+        (((1,),), ((1, 2),), ((1, 2),)),  # a set of the wrong size
+        (((1,),), ((2, 1),), ((1, 2, 3),)),  # an unsorted set
+        (((1,),), ((1, 4),), ((1, 2, 3),)),  # a row out of range
+        (((0,),), ((1, 2),), ((1, 2, 3),)),
+    ],
+)
+def test_support_refuses_malformed_levels(sets):
+    with pytest.raises(PreconditionError):
+        PluckerSupport(3, sets)
+
+
 def test_geometric_table_demo_and_provenance(s3):
     table = geometric_table(DEMO_1)
     assert table.provenance == "geometric-limit"
@@ -168,6 +194,35 @@ def invertible_matrices(draw):
     )
     assume(mat.det() != 0)
     return mat
+
+
+@st.composite
+def square_matrices(draw):
+    """Square rational matrices of sizes 1-6, about half of whose entries
+    are zero; now and then one row is made a multiple of another, so that
+    singular matrices come up at every size."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    )
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        rows[i] = [c * v for v in rows[j]]
+    return RationalMatrix(tuple(tuple(row) for row in rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=square_matrices())
+def test_plucker_support_matches_one_determinant_per_minor(x):
+    want = plucker_sets_by_minors(x)
+    if want is None:
+        with pytest.raises(SingularMatrix):
+            plucker_support(x)
+    else:
+        assert plucker_support(x).sets == want
 
 
 @settings(max_examples=30, deadline=None)

@@ -588,7 +588,7 @@ def _order_matrix(group, windows, parity=True):
     """leq[i, j]: window i <= window j, read off the sorted-prefix rows and,
     with `parity`, the parity keys of every D factor."""
     n = group.window_length
-    _, to_rank = retraction._letter_lookups(group, [group.identity().window])
+    to_rank = retraction._letter_lookups(group, [group.identity().window])
     ranks = to_rank[0, n + np.array(windows, dtype=np.int64)]
     rows = retraction._sorted_prefix_rows(group, ranks)
     leq = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)

@@ -10,10 +10,12 @@ unchanged `bench/run.py --workload W --seed S --seconds T --trace 0` once
 in each checkout, one process at a time, alternating which side goes
 first from one pair to the next, so that a drift of the machine's speed
 falls on both sides alike.  T is `run_seconds` of the checkouts'
-BENCHMARK.json, which must agree.  Seeds count up from --first-seed, one
-per pair, across the workloads in the order given.  Two checkouts of the
-same commit give an A/A run, which shows how far the alternation leaves
-the two sides apart when nothing differs.
+BENCHMARK.json.  Both sides must run the same harness: the sha256 over
+every file under `bench/` (byte-compiled files aside) and BENCHMARK.json
+must agree, or nothing runs, and the file records it.  Seeds count up
+from --first-seed, one per pair, across the workloads in the order given.
+Two checkouts of the same commit give an A/A run, which shows how far the
+alternation leaves the two sides apart when nothing differs.
 
 For each workload the file holds, per side and per end-to-end metric
 (`wall_s`, `setup_s`, `peak_rss_mb`), the runs and their median, first
@@ -34,6 +36,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -50,6 +53,22 @@ TRACED_ROUNDS = 6
 def run_seconds(checkout: Path) -> float:
     """The benchmark's run length, as the checkout's BENCHMARK.json sets it."""
     return float(json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"])
+
+
+def harness_sha256(checkout: Path) -> str:
+    """One sha256 over the benchmark's harness in a checkout: the path,
+    length and bytes of every file under bench/ except byte-compiled ones,
+    in path order, then BENCHMARK.json."""
+    files = sorted(
+        f for f in (checkout / "bench").rglob("*")
+        if f.is_file() and "__pycache__" not in f.parts and f.suffix != ".pyc"
+    )
+    h = hashlib.sha256()
+    for f in [*files, checkout / "BENCHMARK.json"]:
+        data = f.read_bytes()
+        h.update(f"{f.relative_to(checkout).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def revision(checkout: Path) -> str:
@@ -178,9 +197,11 @@ def main(argv: list[str] | None = None) -> int:
     for side, d in dirs.items():
         if not (d / "bench" / "run.py").is_file():
             ap.error(f"{side} checkout {d} has no bench/run.py")
-    seconds, other = (run_seconds(d) for d in dirs.values())
-    if seconds != other:
-        ap.error(f"the checkouts' BENCHMARK.json disagree on run_seconds: {seconds:g} and {other:g}")
+    harness, other = (harness_sha256(d) for d in dirs.values())
+    if harness != other:
+        ap.error(f"the checkouts run different harnesses (bench/ and BENCHMARK.json):"
+                 f" parent {harness}, change {other}")
+    seconds = run_seconds(dirs["parent"])
     plan = []
     seed = args.first_seed
     for spec in args.pairs:
@@ -195,6 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         "change": revision(dirs["change"]),
         "harness": "bench/run.py and BENCHMARK.json of each checkout, run by tools/bench_pairs.py;"
                    " each side runs in its own checkout, with its own .bench_out/",
+        "harness_sha256": harness,
         "command": f"python3 bench/run.py --workload {{workload}} --seed {{seed}}"
                    f" --seconds {seconds:g} --trace 0",
         "order": "one pair per seed, run back to back, one process at a time; the side that ran"
