@@ -126,7 +126,7 @@ def test_limit_point_nesting_error_on_hand_made_support(s3):
         (((1,),), ((1, 2),), ((1, 2),)),  # a set of the wrong size
         (((1,),), ((2, 1),), ((1, 2, 3),)),  # an unsorted set
         (((1,),), ((1, 4),), ((1, 2, 3),)),  # a row out of range
-        (((0,),), ((1, 2),), ((1, 2, 3),)),
+        (((0,),), ((1, 2),), ((1, 2, 3),)),  # a row below 1
     ],
 )
 def test_support_refuses_malformed_levels(sets):
