@@ -7,11 +7,14 @@ subspaces from one fraction-free Gauss-Jordan elimination on rows cleared
 of denominators; cone membership by sign tests; LP feasibility by a
 phase-1 simplex with Bland's rule that pivots on integers (each constraint
 row is cleared of denominators first, and every division in a pivot is
-exact); and convex hulls in any dimension by integer double description
-after projecting to an integral coordinate chart of the affine hull.  Each
-facet carries the bitmask of the points on it; vertices and edges are read
-off those masks, and an edge is certified by the sum of the normals of its
-facets.
+exact) on a tableau that holds no artificial columns; and convex hulls in
+any dimension by integer double description after projecting to an
+integral coordinate chart of the affine hull.  Each facet carries the
+bitmask of the points on it; vertices and edges are read off those masks,
+and an edge is certified by the sum of the normals of its facets.  The
+edge LP, which cross-checks the hull, is solved as its Farkas dual: a
+convex combination of the other points on the line through the pair, d+1
+rows over one column per point.
 """
 
 from __future__ import annotations
@@ -48,11 +51,27 @@ def clear_denominators(vec: Sequence[Rat]) -> list[int]:
     """The vector times the lcm of its denominators: integers with every
     sign kept, since the scaling is positive.  `int` and `Fraction` entries
     are read as they are; any other entry goes through `Fraction` first."""
+    return _cleared(vec)[0]
+
+
+def _cleared(vec: Sequence[Rat]) -> tuple[list[int], int]:
+    """(the vector times m, m) for m the lcm of its denominators."""
     if all(type(v) is int for v in vec):
-        return list(vec)
+        return list(vec), 1
     fracs = [v if type(v) is Fraction or type(v) is int else Fraction(v) for v in vec]
     mult = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (mult // f.denominator) for f in fracs]
+    return [f.numerator * (mult // f.denominator) for f in fracs], mult
+
+
+def _integer_points(points: Sequence[Sequence[Rat]]) -> tuple[list[tuple[int, ...]], int]:
+    """(the points times m, m) for m the lcm of all their denominators: one
+    positive scaling, so every affine relation among the points is kept."""
+    flat, mult = _cleared([v for p in points for v in p])
+    out, k = [], 0
+    for p in points:
+        out.append(tuple(flat[k:k + len(p)]))
+        k += len(p)
+    return out, mult
 
 
 def integer_primitive(vec: Sequence[Rat]) -> tuple[int, ...]:
@@ -272,12 +291,18 @@ def lp_feasible(
     dim: int,
 ) -> bool:
     """Exact feasibility of {x : <a,x> <= b for ineqs, <a,x> = b for eqs},
-    x free, via an integer-pivoting phase-1 simplex with Bland's rule."""
+    x free, via an integer-pivoting phase-1 simplex with Bland's rule.  A
+    coefficient row shorter than dim is padded with zeros; a longer one
+    raises `PreconditionError`."""
     rows: list[list[int]] = []
     rhs: list[int] = []
     nslack = len(ineqs)
     # columns: x+ (dim), x- (dim), one slack per inequality
     for k, (coeffs, b) in enumerate([*ineqs, *eqs]):
+        if len(coeffs) > dim:
+            raise PreconditionError(
+                f"constraint {k} has {len(coeffs)} coefficients, expected at most {dim}"
+            )
         # a positive scaling, so the constraint keeps its solution set
         *a, c = clear_denominators((*coeffs, b))
         a += [0] * (dim - len(a))
@@ -292,27 +317,29 @@ def lp_feasible(
 def _phase1_feasible(rows: list[list[int]], rhs: list[int]) -> bool:
     """Phase 1 on {A y = b, y >= 0} with b >= 0, pivoting on integers.
 
+    Row i starts with its artificial variable, index width + i, basic.  The
+    tableau stores only the columns of A and the rhs: an artificial that
+    leaves the basis is fixed at 0 and never re-enters.  Every point of
+    objective 0 has it at 0 anyway, so the verdict is that of the full
+    phase 1, and Bland's rule still terminates on the smaller problem.
+
     The tableau holds integers over one common denominator D > 0 (the last
     pivot; Edmonds' scheme, as in lrs).  A pivot on (r, s) keeps row r and
     maps every other row, the objective row included, to
     (row * piv - row[s] * tab[r]) // D, an exact division by Sylvester's
-    identity; D then becomes piv.  Bland's rule picks the pivots.
+    identity; D then becomes piv.
     """
     m = len(rows)
     if m == 0:
         return True
     width = len(rows[0])
-    # one artificial per row, all basic at start
-    tab = [rows[i] + [int(i == j) for j in range(m)] + [rhs[i]] for i in range(m)]
+    tab = [rows[i] + [rhs[i]] for i in range(m)]
     basis = [width + i for i in range(m)]
-    total = width + m
-    # reduced-cost row for minimizing the artificial sum
+    # reduced costs for minimizing the sum of the artificials, then that sum
     obj = [sum(col) for col in zip(*tab)]
-    for j in range(width, total):
-        obj[j] -= 1
     denom = 1
     while True:
-        enter = next((j for j in range(total) if obj[j] > 0), None)
+        enter = next((j for j in range(width) if obj[j] > 0), None)
         if enter is None:
             break
         # ratio test rhs_i / a_i by cross-multiplying (every a_i > 0),
@@ -344,18 +371,35 @@ def _phase1_feasible(rows: list[list[int]], rhs: list[int]) -> bool:
 
 def lp_edge_feasible(points: Sequence[Sequence[Rat]], i: int, j: int) -> bool:
     """True when some linear functional is tied on points i and j and
-    smaller by at least 1 on every other point (so [i, j] is an edge of
-    the convex hull, the others being strictly outside the supporting
-    line)."""
-    p, q = points[i], points[j]
-    dim = len(p)
-    eqs = [(tuple(b - a for a, b in zip(p, q)), 0)]
-    ineqs = []
-    for k, r in enumerate(points):
-        if k in (i, j):
-            continue
-        ineqs.append((tuple(b - a for a, b in zip(p, r)), -1))
-    return lp_feasible(ineqs, eqs, dim)
+    smaller by at least 1 on every other point: [p, q] = [points[i],
+    points[j]] is then an edge of their convex hull with every other point
+    off the line pq.  Geometrically, this holds iff no convex combination
+    of the other points lies on the line pq.
+
+    That is the Farkas dual, and it is what gets solved: lambda >= 0, one
+    per other point r_k, and mu+, mu- >= 0 with
+    sum lambda_k (r_k - p) + (mu+ - mu-) (q - p) = 0 and sum lambda_k = 1,
+    d + 1 rows over n columns, on the points scaled to integers once.  By
+    Farkas' lemma exactly one of the two systems is feasible.  Indices must
+    differ and lie in range, and the points must share one length, or
+    `PreconditionError` is raised."""
+    n = len(points)
+    if not (0 <= i < n and 0 <= j < n):
+        raise PreconditionError(f"pair ({i}, {j}) out of range for {n} points")
+    if i == j:
+        raise PreconditionError(f"pair ({i}, {j}) repeats a point")
+    dim = len(points[0])
+    if any(len(p) != dim for p in points):
+        raise PreconditionError("points of mixed length")
+    pts, _ = _integer_points(points)
+    p, q = pts[i], pts[j]
+    cols = [[a - b for a, b in zip(r, p)] for k, r in enumerate(pts) if k != i and k != j]
+    u = [b - a for a, b in zip(p, q)]
+    cols += [u, [-v for v in u]]
+    # a coordinate on which every column vanishes gives no constraint
+    rows = [list(row) for row in zip(*cols) if any(row)]
+    rows.append([1] * (n - 2) + [0, 0])
+    return not _phase1_feasible(rows, [0] * (len(rows) - 1) + [1])
 
 
 # --- Convex hulls by double description ------------------------------------
@@ -500,8 +544,7 @@ def hull_edges(points: Sequence[Sequence[Rat]]) -> Hull:
         raise PreconditionError("no points")
     if len(set(map(tuple, points))) != len(points):
         raise PreconditionError("duplicate points")
-    mult = lcm(*(Fraction(v).denominator for p in points for v in p))
-    pts = [tuple(int(Fraction(v) * mult) for v in p) for p in points]
+    pts, mult = _integer_points(points)
     n = len(pts)
     if n == 1:
         return Hull([0], [], ())

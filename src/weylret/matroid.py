@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DescriptorMismatch, PreconditionError
-from .exact import Rat, certifies_edge, hull_edges, lp_edge_feasible
+from .exact import Rat, certifies_edge, hull_edges, integer_primitive, lp_edge_feasible
 from .retraction import SubsetM, _extremal_sets, algebraic_retract, closest_set
 from .retraction import _extremal_elements  # noqa: F401  (bench/spans.py traces the scan by this name)
 from .weyl import (
@@ -103,13 +103,6 @@ def orbit_points(
     return points, nu
 
 
-def _collinear(d: Sequence[Rat], b: Sequence[int]) -> bool:
-    for i, j in itertools.combinations(range(len(d)), 2):
-        if d[i] * b[j] != d[j] * b[i]:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class PhiReport:
     is_phi: bool
@@ -136,13 +129,14 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
     # points of one orbit lie on a sphere, so each must come back a vertex
     if len(verts) != len(points):
         raise AssertionError("regular orbit point was not a hull vertex")
-    roots = M.group.all_roots()
+    # a direction is parallel to a root iff their primitive forms agree
+    root_lines = {integer_primitive(beta) for beta in M.group.all_roots()}
     members = M.elements
-    offending = []
-    for i, j in edges:
-        d = tuple(a - b for a, b in zip(points[i], points[j]))
-        if not any(_collinear(d, beta) for beta in roots):
-            offending.append((i, j))
+    offending = [
+        (i, j)
+        for i, j in edges
+        if integer_primitive([a - b for a, b in zip(points[i], points[j])]) not in root_lines
+    ]
     for i, j in offending:
         if not certifies_edge(points, i, j, *hull.edge_certificate(i, j)):
             raise AssertionError(

@@ -4,8 +4,9 @@ Each oracle recomputes a quantity along a route the library does not use:
 word lengths come from breadth-first search over the Cayley graph, the
 Bruhat order from the reflexive-transitive closure of covering relations,
 planar hulls from sympy's geometry module, the chambers and cone normals
-of a fan from scans over the whole group and every root, and the Pluecker
-support from one determinant per minor.
+of a fan from scans over the whole group and every root, the Pluecker
+support from one determinant per minor, and hull edges from the primal
+edge LP, of which the library solves the Farkas dual.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from sympy import Rational as SymRational
 from sympy.geometry import Point2D, Polygon, Segment2D, convex_hull
 
-from weylret.exact import Membership, RationalMatrix, cone_membership
+from weylret.exact import Membership, RationalMatrix, cone_membership, lp_feasible
 from weylret.fan import chamber_cone
 from weylret.weyl import (
     GroupDescriptor,
@@ -152,3 +153,17 @@ def plucker_sets_by_minors(x: RationalMatrix):
         )
         for k in range(1, n + 1)
     )
+
+
+def lp_edge_primal(points, i: int, j: int) -> bool:
+    """Some c with c . (q - p) = 0 and c . (r - p) <= -1 at every other
+    point r, for p, q = points[i], points[j]: the primal edge LP, built as
+    an `lp_feasible` system on the free vector c."""
+    p, q = points[i], points[j]
+    eqs = [(tuple(b - a for a, b in zip(p, q)), 0)]
+    ineqs = [
+        (tuple(b - a for a, b in zip(p, r)), -1)
+        for k, r in enumerate(points)
+        if k not in (i, j)
+    ]
+    return lp_feasible(ineqs, eqs, len(p))

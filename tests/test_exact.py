@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import drop_last, hull_edges_2d
+from oracles import drop_last, hull_edges_2d, lp_edge_primal
 from weylret.errors import ParseError, PreconditionError
 from weylret.exact import (
     HalfspaceCone,
@@ -261,6 +261,31 @@ def test_lp_feasible_basic():
     assert lp_feasible([], [], 3)
 
 
+def test_lp_feasible_refuses_rows_longer_than_dim():
+    # x <= -1 and x >= 1 with a stray second coefficient: no silent truncation
+    for ineqs in (
+        [((1,), -1), ((-1, 0), -1)],
+        [((-1, 0), -1), ((1,), -1)],
+    ):
+        with pytest.raises(PreconditionError):
+            lp_feasible(ineqs, [], 1)
+    with pytest.raises(PreconditionError):
+        lp_feasible([], [((1, 1), 0)], 1)
+    # a shorter row is padded with zeros
+    assert not lp_feasible([((1,), -1), ((-1, 0), -1)], [], 2)
+    assert lp_feasible([((1,), 1), ((0, -1), -1)], [], 2)
+
+
+def test_lp_feasible_artificial_leaves_for_good():
+    # x1 + x2 = 2, x1 - x2 = 0 in free x, with x1 <= 1: a row with a nonzero
+    # rhs is feasible only once its artificial has left the basis
+    assert lp_feasible([((1, 0), 1)], [((1, 1), 2), ((1, -1), 0)], 2)
+    assert not lp_feasible([((1, 0), F(1, 2))], [((1, 1), 2), ((1, -1), 0)], 2)
+    # a redundant equality keeps its artificial basic at zero
+    assert lp_feasible([], [((1, 1), 2), ((2, 2), 4)], 2)
+    assert not lp_feasible([], [((1, 1), 2), ((2, 2), 5)], 2)
+
+
 def test_lp_feasible_randomized_witness():
     # systems built around a known solution must come back feasible
     rng = random.Random(4)
@@ -496,6 +521,70 @@ def test_lp_edge_feasible_matches_hull_2d():
             assert lp_edge_feasible(pts, i, j) == (
                 frozenset((i, j)) in edge_set
             )
+
+
+@st.composite
+def edge_lp_cases(draw):
+    """Distinct rational points, dimension 1-5 and 2-10 of them, drawn in
+    general position, on one line or on one plane, and a pair of indices."""
+    dim = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 10))
+    coord = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    vec = st.lists(coord, min_size=dim, max_size=dim)
+    kind = draw(st.sampled_from(("general", "line", "plane")))
+    if kind == "general":
+        points = draw(st.lists(vec, min_size=n, max_size=n, unique_by=tuple))
+    else:
+        base = draw(vec)
+        dirs = draw(st.lists(vec, min_size=1 if kind == "line" else 2,
+                             max_size=1 if kind == "line" else 2))
+        steps = draw(st.lists(
+            st.lists(coord, min_size=len(dirs), max_size=len(dirs)),
+            min_size=n, max_size=n,
+        ))
+        points = list({
+            tuple(b + sum(t * d[c] for t, d in zip(ts, dirs)) for c, b in enumerate(base))
+            for ts in steps
+        })
+    if len(points) < 2:
+        points = [(F(0),) * dim, (F(1),) * dim]
+    i, j = draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=2, unique=True))
+    return [tuple(p) for p in points], i, j
+
+
+@settings(max_examples=120, deadline=None)
+@given(edge_lp_cases())
+def test_lp_edge_feasible_matches_primal_oracle(case):
+    points, i, j = case
+    assert lp_edge_feasible(points, i, j) == lp_edge_primal(points, i, j)
+
+
+def test_lp_edge_feasible_sees_a_point_inside_the_segment():
+    # the convex combination (1, 1) of the others lies on the line of the
+    # pair, so the pair spans no strictly separated edge
+    pts = [(0, 0), (2, 2), (1, 1), (5, 0)]
+    assert not lp_edge_feasible(pts, 0, 1)
+    assert lp_edge_feasible(pts, 0, 3)
+    # a combination of two points off the line can land on it too
+    assert not lp_edge_feasible([(0, 0), (4, 0), (1, 1), (3, -1)], 0, 1)
+    assert lp_edge_feasible([(0, 0), (4, 0), (1, 1), (3, 1)], 0, 1)
+    assert lp_edge_feasible([(F(1, 2),), (F(3, 2),)], 0, 1)
+
+
+@pytest.mark.parametrize(
+    "points, i, j",
+    [
+        ([(0, 0), (1, 0), (0, 1)], 1, 1),
+        ([(0, 0), (1, 0), (0, 1)], 0, 3),
+        ([(0, 0), (1, 0), (0, 1)], -1, 0),
+        ([(0, 0), (1, 0), (0, 1, 0)], 0, 1),
+        ([(0, 0), (1,), (0, 1)], 0, 2),
+        ([], 0, 1),
+    ],
+)
+def test_lp_edge_feasible_refuses_bad_pairs_and_ragged_points(points, i, j):
+    with pytest.raises(PreconditionError):
+        lp_edge_feasible(points, i, j)
 
 
 def test_lp_edge_feasible_permutohedron_spots():
