@@ -129,8 +129,9 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
     # points of one orbit lie on a sphere, so each must come back a vertex
     if len(verts) != len(points):
         raise AssertionError("regular orbit point was not a hull vertex")
-    # a direction is parallel to a root iff their primitive forms agree
-    root_lines = {integer_primitive(beta) for beta in M.group.all_roots()}
+    # a direction is parallel to a root iff their primitive forms agree;
+    # a root and its negative share one
+    root_lines = {integer_primitive(beta) for beta in M.group.positive_roots()}
     members = M.elements
     offending = [
         (i, j)

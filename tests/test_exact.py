@@ -421,6 +421,15 @@ def test_hull_edges_4_simplex():
     assert edges == list(itertools.combinations(range(5), 2))
 
 
+def test_hull_edges_reads_ints_fractions_and_strings_alike():
+    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    halves = [(0, F(0)), ("1", 0), (F(0), 1), (F(1), "1")]
+    a, b = hull_edges(square), hull_edges(halves)
+    assert (a.vertices, a.edges) == (b.vertices, b.edges)
+    assert [f.normal for f in a.facets] == [f.normal for f in b.facets]
+    assert [f.offset for f in b.facets] == [F(f.offset, 2) for f in a.facets]
+
+
 def test_hull_edges_rejects_empty_input():
     with pytest.raises(PreconditionError, match="no points"):
         hull_edges([])
