@@ -2,19 +2,20 @@
 
 Everything here computes over Fraction (or plain int) with no floating
 point anywhere, and the heavy loops run on integers: determinants by
-fraction-free Bareiss elimination; RREF, null spaces, ranks and canonical
+fraction-free Bareiss elimination; null spaces, ranks and canonical
 subspaces from one fraction-free Gauss-Jordan elimination on rows cleared
 of denominators; cone membership by sign tests; LP feasibility by a
 phase-1 simplex with Bland's rule that pivots on integers (each constraint
 row is cleared of denominators first, and every division in a pivot is
 exact) on a tableau that holds no artificial columns; and convex hulls in
-any dimension by integer double description after projecting to an
-integral coordinate chart of the affine hull.  Each facet carries the
-bitmask of the points on it; vertices and edges are read off those masks,
-and an edge is certified by the sum of the normals of its facets.  The
-edge LP, which cross-checks the hull, is solved as its Farkas dual: a
-convex combination of the other points on the line through the pair, d+1
-rows over one column per point.
+any dimension by integer double description, its start rays null spaces
+from that same elimination, after projecting to an integral coordinate
+chart of the affine hull.  Each facet carries the bitmask of the points
+on it; vertices and edges are read off those masks, and an edge is
+certified by the sum of the normals of its facets.  The edge LP, which
+cross-checks the hull, is solved as its Farkas dual: a convex combination
+of the other points on the line through the pair, d+1 rows over one
+column per point.
 """
 
 from __future__ import annotations
@@ -199,28 +200,16 @@ def _row_reduce(
     return m[: len(pivots)], pivots
 
 
-def _rref_rows(reduced: list[tuple[int, ...]], pivots: list[int]) -> list[list[Fraction]]:
-    return [[Fraction(v, row[p]) for v in row] for row, p in zip(reduced, pivots)]
-
-
-def rref(rows: Sequence[Sequence[Rat]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).  The
-    zero rows of the form come last; rows of unequal length raise
-    `PreconditionError`."""
-    ncols = len(rows[0]) if rows else 0
-    reduced, pivots = _row_reduce(rows, ncols)
-    out = _rref_rows(reduced, pivots)
-    out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(pivots))]
-    return out, pivots
-
-
 def nullspace_basis(rows: Sequence[Sequence[Rat]], dim: int) -> tuple[tuple[int, ...], ...]:
     """Primitive integer basis of {x : Ax = 0}, one vector per free column;
     every row must have length dim.
 
     With d_r the pivot of reduced row r and L the lcm of the pivots, free
     column c gets x_c = L and x_{p_r} = -a_rc * (L / d_r): L times the
-    solution read off the RREF, in integers."""
+    solution read off the RREF, in integers, made primitive with its first
+    nonzero entry positive.  The RREF depends only on the row space, so the
+    basis depends only on the null space: equal null spaces give equal
+    bases."""
     reduced, pivots = _row_reduce(rows, dim)
     big = lcm(*(row[p] for row, p in zip(reduced, pivots)))
     scaled = [(p, row, big // row[p]) for row, p in zip(reduced, pivots)]
@@ -235,10 +224,13 @@ def nullspace_basis(rows: Sequence[Sequence[Rat]], dim: int) -> tuple[tuple[int,
     return tuple(basis)
 
 
-def canonical_subspace(vectors: Sequence[Sequence[Rat]], dim: int) -> tuple[tuple[Fraction, ...], ...]:
-    """RREF rows spanning the same subspace; equal iff subspaces are equal.
-    Every vector must have length dim."""
-    return tuple(map(tuple, _rref_rows(*_row_reduce(vectors, dim))))
+def canonical_subspace(
+    vectors: Sequence[Sequence[Rat]], dim: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The nonzero RREF rows of the vectors, which span the same subspace;
+    equal iff subspaces are equal.  Every vector must have length dim."""
+    reduced, pivots = _row_reduce(vectors, dim)
+    return tuple(tuple(Fraction(v, row[p]) for v in row) for row, p in zip(reduced, pivots))
 
 
 # --- Cones ----------------------------------------------------------------
@@ -276,11 +268,6 @@ def cone_membership(cone: HalfspaceCone, point: Sequence[Rat]) -> Membership:
         if s == 0:
             tight = True
     return Membership.BOUNDARY if tight else Membership.INTERIOR
-
-
-def cone_lineality(cone: HalfspaceCone) -> tuple[tuple[int, ...], ...]:
-    rows = [list(v) for v in cone.normals] + [list(v) for v in cone.equalities]
-    return nullspace_basis(rows, cone.dim)
 
 
 # --- LP feasibility -------------------------------------------------------
@@ -480,24 +467,19 @@ def _double_description(pts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
     They are the extreme rays (a, b) of the cone {(a, b) : a . p <= b for
     every point p}, each returned with the bitmask of the points it is
     tight on.  Double description (Fukuda and Prodon 1996): start from the
-    simplicial cone of d + 1 affinely independent points, then add the
-    other points one at a time.  A new constraint keeps the rays it holds
-    on and combines each ray it cuts off with each ray strictly inside it,
-    when the two are adjacent: no third ray is tight on every point that
-    both are tight on.
+    simplicial cone of d + 1 affinely independent points, whose ray
+    opposite point j spans the null space of the rows (p, -1) of the other
+    d points, then add the other points one at a time.  A new constraint
+    keeps the rays it holds on and combines each ray it cuts off with each
+    ray strictly inside it, when the two are adjacent: no third ray is
+    tight on every point that both are tight on.
     """
     d = len(pts[0])
     rows = [(*p, -1) for p in pts]
     start = _independent_rows(rows)
     rays = []
     for j in start:
-        # the generalized cross product of the other d rows: its dot with
-        # x is the determinant of those rows over x
-        others = [rows[k] for k in start if k != j]
-        ray = _primitive([
-            (-1) ** c * _bareiss_det([list(r[:c] + r[c + 1:]) for r in others])
-            for c in range(d + 1)
-        ])
+        (ray,) = nullspace_basis([rows[k] for k in start if k != j], d + 1)
         if _dot(rows[j], ray) > 0:
             ray = tuple(-v for v in ray)
         rays.append((ray, sum(1 << k for k in start if k != j)))
@@ -542,6 +524,8 @@ def hull_edges(points: Sequence[Sequence[Rat]]) -> Hull:
     edge iff the facets through both meet, on vertices, in {i, j}."""
     if not points:
         raise PreconditionError("no points")
+    if any(len(p) != len(points[0]) for p in points):
+        raise PreconditionError("points of mixed length")
     if len(set(map(tuple, points))) != len(points):
         raise PreconditionError("duplicate points")
     pts, mult = _integer_points(points)

@@ -19,6 +19,10 @@ Lineality is reported modulo the always-present translation directions of
 type A blocks (the per-block constant vectors), so "strongly convex" means
 trivial lineality beyond those.  A table whose fibers disagree on that
 reduced lineality is rejected as not defining a fan over a common space.
+Each fiber's reduced lineality is the `exact.nullspace_basis` of its
+normals and those constant vectors.  That basis is read off the RREF, so
+it depends only on the space, and the fibers' bases are compared as they
+are.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .exact import (
     HalfspaceCone,
     Membership,
     Rat,
-    canonical_subspace,
     clear_denominators,
     cone_membership,
     nullspace_basis,
@@ -191,7 +194,6 @@ def build_fan(table: RetractionTable) -> Fan:
     roots = group.all_roots()
     index, pairs, singles = _sparse_roots(group)
     everything = (1 << len(roots)) - 1
-    lineality_seen: list[tuple[SignedPermutation, tuple, tuple]] = []
     for y in table.targets:
         members = fibers.get(y.window, [])
         common = everything
@@ -209,15 +211,15 @@ def build_fan(table: RetractionTable) -> Fan:
                 reduced_lineality=lin,
             )
         )
-        lineality_seen.append((y, lin, canonical_subspace(lin, dim)))
-    first_y, first_lin, first_canon = lineality_seen[0]
-    for y, lin, canon in lineality_seen[1:]:
-        if canon != first_canon:
+    first = cones[0].reduced_lineality
+    for c in cones[1:]:
+        if c.reduced_lineality != first:
             raise InconsistentLineality(
-                f"target {list(first_y.window)} has lineality rank {len(first_lin)}"
-                f" but {list(y.window)} has rank {len(lin)} or a different space"
+                f"target {list(cones[0].target.window)} has lineality rank {len(first)}"
+                f" but {list(c.target.window)} has rank {len(c.reduced_lineality)}"
+                " or a different space"
             )
-    return Fan(table=table, cones=tuple(cones), lineality=first_lin)
+    return Fan(table=table, cones=tuple(cones), lineality=first)
 
 
 @dataclass(frozen=True)

@@ -167,13 +167,8 @@ def geometric_table(x: PluckerSupport | RationalMatrix) -> RetractionTable:
     if isinstance(x, RationalMatrix):
         x = plucker_support(x)
     group = _type_a_group(x.n)
-    targets = fixed_points(x)
-    mapping = tuple(
-        (u, limit_point(x, weight_for_chamber(u))) for u in elements(group)
-    )
-    return RetractionTable(
-        group, tuple(targets.elements), mapping, provenance="geometric-limit"
-    )
+    images = [limit_point(x, weight_for_chamber(u)) for u in elements(group)]
+    return RetractionTable(group, fixed_points(x).elements, images, provenance="geometric-limit")
 
 
 def sample_rational_point(
@@ -181,30 +176,21 @@ def sample_rational_point(
     seed: int,
     kind: str = "generic",
     density: Fraction | float = Fraction(1, 2),
-    interval: tuple[SignedPermutation, SignedPermutation] | None = None,
     max_tries: int = 1000,
 ) -> RationalMatrix:
-    """Seeded random invertible rational matrices.
+    """Seeded random invertible rational matrices, raising `GiveUp` after
+    `max_tries` singular draws.
 
     kind "generic": every entry a small random rational; "sparse": entries
-    zeroed with probability 1 - density to force degenerate supports;
-    "interval": resample until the fixed-point set equals the Bruhat
-    interval given by `interval`, raising `GiveUp` after `max_tries`.
+    zeroed with probability 1 - density to force degenerate supports.
     """
     rng = random.Random(seed)
     if n < 1:
         raise PreconditionError(f"matrix size must be at least 1, got {n}")
     if not 0 <= density <= 1:
         raise PreconditionError(f"density must lie in [0, 1], got {density}")
-    if kind not in ("generic", "sparse", "interval"):
+    if kind not in ("generic", "sparse"):
         raise ValueError(f"unknown kind {kind!r}")
-    if kind == "interval":
-        if interval is None:
-            raise ValueError("kind 'interval' needs the target interval")
-        from .matroid import bruhat_interval
-
-        lo, hi = interval
-        want = {w.window for w in bruhat_interval(lo, hi)}
 
     def entry() -> Fraction:
         if kind == "sparse" and rng.random() > float(density):
@@ -215,11 +201,6 @@ def sample_rational_point(
         mat = RationalMatrix(
             tuple(tuple(entry() for _ in range(n)) for _ in range(n))
         )
-        if mat.det() == 0:
-            continue
-        if kind == "interval":
-            got = {w.window for w in fixed_points(mat)}
-            if got != want:
-                continue
-        return mat
+        if mat.det() != 0:
+            return mat
     raise GiveUp(f"no suitable matrix in {max_tries} draws (kind={kind!r}, n={n})")

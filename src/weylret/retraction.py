@@ -475,38 +475,39 @@ def closest_set(
 
 @dataclass(frozen=True)
 class RetractionTable:
-    """A total map W -> targets fixing every target pointwise."""
+    """A total map W -> targets fixing every target pointwise.
+
+    `images[k]` is the image of `elements(group)[k]`, so the base elements
+    are implicit and the table covers W exactly once by construction;
+    `mapping` pairs them up in that enumeration order."""
 
     group: GroupDescriptor
     targets: tuple[SignedPermutation, ...]
-    mapping: tuple[tuple[SignedPermutation, SignedPermutation], ...]
+    images: tuple[SignedPermutation, ...]
     provenance: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "mapping",
-            tuple(sorted(self.mapping, key=lambda p: _canonical_key(p[0]))),
-        )
+        object.__setattr__(self, "images", tuple(self.images))
         object.__setattr__(
             self,
             "targets",
             tuple(sorted(self.targets, key=_canonical_key)),
         )
+        if len(self.images) != self.group.order():
+            raise ValueError(
+                f"table has {len(self.images)} images for {self.group.order()} elements"
+            )
         target_windows = {t.window for t in self.targets}
-        seen = set()
         for u, v in self.mapping:
-            if u.window in seen:
-                raise ValueError(f"duplicate base element {list(u.window)}")
-            seen.add(u.window)
             if v.window not in target_windows:
                 raise ValueError(f"image {list(v.window)} is not a target")
             if u.window in target_windows and u.window != v.window:
                 raise ValueError(f"target {list(u.window)} not fixed")
-        if len(self.mapping) != self.group.order():
-            raise ValueError(
-                f"table covers {len(self.mapping)} of {self.group.order()} elements"
-            )
+
+    @cached_property
+    def mapping(self) -> tuple[tuple[SignedPermutation, SignedPermutation], ...]:
+        """(base element, image) pairs in enumeration order."""
+        return tuple(zip(elements(self.group), self.images))
 
     @cached_property
     def as_dict(self) -> dict[tuple[int, ...], SignedPermutation]:
@@ -529,13 +530,21 @@ class RetractionTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "RetractionTable":
+        """The table of a JSON payload whose "map" lists each element of the
+        group once, in any order."""
         try:
             group = GroupDescriptor.from_json(data["group"])
             targets = tuple(group.element(w) for w in data["targets"])
-            mapping = tuple(
-                (group.element(u), group.element(v)) for u, v in data["map"]
-            )
-            return cls(group, targets, mapping, provenance=data.get("provenance", ""))
+            position = {u.window: k for k, u in enumerate(elements(group))}
+            images: list[SignedPermutation | None] = [None] * len(position)
+            for u, v in data["map"]:
+                k = position[group.element(u).window]
+                if images[k] is not None:
+                    raise ValueError(f"duplicate base element {u}")
+                images[k] = group.element(v)
+            # a missing base element leaves a gap, which the length check reports
+            images = [v for v in images if v is not None]
+            return cls(group, targets, images, provenance=data.get("provenance", ""))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad table payload: {exc}") from exc
 
@@ -557,5 +566,4 @@ def retraction_table(
         provenance = "matroid-minimum"
     else:
         raise ValueError(f"unknown method {method!r}")
-    mapping = tuple(zip(us, images))
-    return RetractionTable(M.group, tuple(M.elements), mapping, provenance=provenance)
+    return RetractionTable(M.group, M.elements, images, provenance=provenance)

@@ -470,13 +470,11 @@ def suite_fan_figures(count: int | None = None, seed: int = 0) -> SuiteResult:
 
     s3 = _s(3)
     junk_targets = (s3.element((1, 2, 3)), s3.element((3, 2, 1)))
-    junk_map = []
-    for u in elements(s3):
-        if u.window in ((1, 2, 3), (2, 3, 1)):
-            junk_map.append((u, junk_targets[0]))
-        else:
-            junk_map.append((u, junk_targets[1]))
-    junk = RetractionTable(s3, junk_targets, tuple(junk_map), provenance="hand-built")
+    junk_images = [
+        junk_targets[0] if u.window in ((1, 2, 3), (2, 3, 1)) else junk_targets[1]
+        for u in elements(s3)
+    ]
+    junk = RetractionTable(s3, junk_targets, junk_images, provenance="hand-built")
     try:
         build_fan(junk)
         check(False, "inconsistent table was accepted")

@@ -61,7 +61,7 @@ class Factor:
     rank: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if type(self.rank) is not int or self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         if self.type in (WeylType.BC, WeylType.D) and self.rank < 2:
             raise ValueError(f"type {self.type.value} needs rank >= 2")
@@ -167,13 +167,12 @@ class GroupDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupDescriptor":
+        """The descriptor of {"factors": [{"type": ..., "rank": ...}, ...]};
+        a rank must be a JSON integer, never a float, string or boolean."""
         try:
-            factors = tuple(
-                Factor(WeylType(f["type"]), int(f["rank"])) for f in data["factors"]
-            )
+            return cls(tuple(Factor(WeylType(f["type"]), f["rank"]) for f in data["factors"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad group descriptor: {data!r}") from exc
-        return cls(factors)
 
 
 def order_key(value: int, rank: int) -> int:

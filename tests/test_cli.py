@@ -39,6 +39,22 @@ def test_parse_group_errors(capsys):
         assert code == 3, bad
 
 
+@pytest.mark.parametrize(
+    "group",
+    [
+        '{"factors": []}',
+        '{"factors": {}}',
+        '{"factors": [{"type": "A", "rank": 2.5}]}',
+        '{"factors": [{"type": "A", "rank": "2"}]}',
+        '{"factors": [{"type": "A", "rank": true}]}',
+    ],
+    ids=["empty-list", "empty-object", "float-rank", "string-rank", "bool-rank"],
+)
+def test_bad_json_group_exits_3(capsys, group):
+    code, _ = run(capsys, "retract", "--group", group, "--subset", "[[1]]", "--at", "[1]")
+    assert code == 3
+
+
 # --- retract ----------------------------------------------------------------
 
 

@@ -18,7 +18,6 @@ from weylret.exact import (
     canonical_subspace,
     certifies_edge,
     clear_denominators,
-    cone_lineality,
     cone_membership,
     format_rational,
     hull_edges,
@@ -27,7 +26,6 @@ from weylret.exact import (
     lp_feasible,
     nullspace_basis,
     parse_rational,
-    rref,
 )
 
 F = Fraction
@@ -129,9 +127,8 @@ def test_rref_and_nullspace():
     for trial in range(20):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
         rows = [[rand_fraction(rng) for _ in range(ncols)] for _ in range(nrows)]
-        reduced, pivots = rref(rows)
         sym = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows])
-        assert len(pivots) == sym.rank()
+        assert len(canonical_subspace(rows, ncols)) == sym.rank()
         basis = nullspace_basis(rows, ncols)
         assert len(basis) == ncols - sym.rank()
         for vec in basis:
@@ -174,10 +171,11 @@ def test_elimination_matches_sympy(case):
     sym = sympy.Matrix([[sympy.Rational(str(Fraction(x))) for x in r] for r in rows])
     sym_rref, sym_pivots = sym.rref()
     want = [[_sympy_fraction(x) for x in sym_rref.row(i)] for i in range(sym.rows)]
-    reduced, pivots = rref(rows)
+    reduced = canonical_subspace(rows, ncols)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
     assert pivots == list(sym_pivots)
-    assert reduced == want
-    assert canonical_subspace(rows, ncols) == tuple(map(tuple, want[: len(pivots)]))
+    assert list(map(list, reduced)) == want[: len(pivots)]
+    assert all(not any(row) for row in want[len(pivots) :])
     basis = nullspace_basis(rows, ncols)
     sym_basis = [
         integer_primitive([_sympy_fraction(x) for x in v]) for v in sym.nullspace()
@@ -191,13 +189,33 @@ def test_elimination_matches_sympy(case):
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.data())
+def test_nullspace_basis_depends_only_on_the_row_space(case, data):
+    """Rows changed by elementary operations (adding an integer multiple of
+    another row, scaling by a nonzero integer), padded with zero rows and
+    permuted, span the same space and so get the same basis."""
+    rows, ncols = case
+    mixed = [list(r) for r in rows]
+    last = len(mixed) - 1
+    ops = st.tuples(st.integers(0, last), st.integers(0, last), st.integers(-3, 3))
+    for i, j, c in data.draw(st.lists(ops, max_size=8)):
+        if i != j:
+            mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+        elif c:
+            mixed[i] = [c * a for a in mixed[i]]
+    mixed += [[0] * ncols] * data.draw(st.integers(0, 2))
+    mixed = data.draw(st.permutations(mixed))
+    assert nullspace_basis(mixed, ncols) == nullspace_basis(rows, ncols)
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: nullspace_basis([[0, 0, 1]], 2),
         lambda: nullspace_basis([[1, 1], [1]], 2),
         lambda: nullspace_basis([[1, 0], [0, 1, 5]], 2),
-        lambda: rref([[1, 1], [1]]),
+        lambda: canonical_subspace([[1, 1], [1]], 2),
         lambda: canonical_subspace([(1, 0, 2)], 2),
     ],
     ids=["too-wide", "ragged", "ragged-wide", "rref-ragged", "subspace-wide"],
@@ -238,9 +256,8 @@ def test_cone_membership():
 
 
 def test_cone_lineality():
-    assert cone_lineality(quadrant()) == ()
-    half = HalfspaceCone(normals=((1, 0, 0),), equalities=(), dim=3)
-    lin = cone_lineality(half)
+    assert nullspace_basis(quadrant().normals, 2) == ()
+    lin = nullspace_basis([(1, 0, 0)], 3)
     assert canonical_subspace(lin, 3) == canonical_subspace(
         [(0, 1, 0), (0, 0, 1)], 3
     )
@@ -433,6 +450,13 @@ def test_hull_edges_reads_ints_fractions_and_strings_alike():
 def test_hull_edges_rejects_empty_input():
     with pytest.raises(PreconditionError, match="no points"):
         hull_edges([])
+
+
+def test_hull_edges_rejects_points_of_mixed_length():
+    # zip would truncate the longer points and give a wrong hull
+    for pts in ([(1,), (0, 0), (0, 1)], [(0, 0), (1,), (0, 1)]):
+        with pytest.raises(PreconditionError, match="mixed length"):
+            hull_edges(pts)
 
 
 def _signed_orbit(point, even):

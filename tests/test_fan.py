@@ -248,13 +248,29 @@ def test_inconsistent_lineality_rejected(s3):
         (3, 2, 1): (3, 2, 1),
     }
     table = RetractionTable(
-        s3,
-        targets,
-        tuple(
-            (u, SignedPermutation(s3, images[u.window])) for u in elements(s3)
-        ),
+        s3, targets, [SignedPermutation(s3, images[u.window]) for u in elements(s3)]
     )
     with pytest.raises(InconsistentLineality):
+        build_fan(table)
+
+
+def test_lineality_spaces_of_equal_rank_must_agree():
+    """A1 x A1 x A1 with fibers of two chambers, chosen by the block signs
+    (x, y, z): by (x, y) where x > 0, so their lines lie along z, and by
+    (x, z) where x < 0, so their lines lie along y.  Every cone has
+    lineality rank 1, and only the spaces differ."""
+    group = GroupDescriptor((Factor(WeylType.A, 2),) * 3)
+
+    def fiber(u):
+        x, y, z = (u.window[2 * k] < u.window[2 * k + 1] for k in range(3))
+        return (x, y) if x else (x, z)
+
+    targets = {}
+    for u in elements(group):
+        targets.setdefault(fiber(u), u)
+    images = [targets[fiber(u)] for u in elements(group)]
+    table = RetractionTable(group, tuple(targets.values()), images)
+    with pytest.raises(InconsistentLineality, match="rank 1 but .* rank 1 or"):
         build_fan(table)
 
 

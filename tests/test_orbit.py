@@ -17,7 +17,7 @@ from weylret.orbit import (
     weight_for_chamber,
 )
 from weylret.retraction import retraction_table
-from weylret.weyl import SignedPermutation, chamber_of, elements
+from weylret.weyl import chamber_of, elements
 
 DEMO_1 = RationalMatrix(((1, 1, 0), (1, 0, 1), (1, 0, 0)))
 DEMO_2 = RationalMatrix(((1, 0, 1), (0, 1, 0), (1, 0, 0)))
@@ -158,14 +158,6 @@ def test_sample_rational_point_determinism():
     assert a != c
     sparse = sample_rational_point(4, seed=7, kind="sparse")
     assert sparse.det() != 0
-
-
-def test_sample_rational_point_interval(s3):
-    lo = SignedPermutation(s3, (1, 2, 3))
-    hi = SignedPermutation(s3, (3, 2, 1))
-    mat = sample_rational_point(3, seed=5, kind="interval", interval=(lo, hi))
-    got = {w.window for w in fixed_points(mat)}
-    assert got == {w.window for w in elements(s3)}
 
 
 def test_sample_rational_point_give_up():

@@ -307,6 +307,12 @@ def test_table_validation(s3):
     ]
     with pytest.raises(ParseError):  # a target must stay fixed
         RetractionTable.from_json(broken)
+    shuffled = dict(data, map=data["map"][::-1])
+    assert RetractionTable.from_json(shuffled) == table  # any order of the map
+    assert RetractionTable.from_json(shuffled).to_json() == data
+    broken = dict(data, map=data["map"][:-1] + data["map"][:1])
+    with pytest.raises(ParseError, match="duplicate"):  # each base element once
+        RetractionTable.from_json(broken)
 
 
 def test_from_json_refuses_non_integer_letters(s3):
