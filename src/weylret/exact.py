@@ -366,10 +366,10 @@ def lp_edge_feasible(points: Sequence[Sequence[Rat]], i: int, j: int) -> bool:
     That is the Farkas dual, and it is what gets solved: lambda >= 0, one
     per other point r_k, and mu+, mu- >= 0 with
     sum lambda_k (r_k - p) + (mu+ - mu-) (q - p) = 0 and sum lambda_k = 1,
-    d + 1 rows over n columns, on the points scaled to integers once.  By
-    Farkas' lemma exactly one of the two systems is feasible.  Indices must
-    differ and lie in range, and the points must share one length, or
-    `PreconditionError` is raised."""
+    d + 1 rows over n columns, on the points scaled to integers once
+    (`_lp_edge_feasible`).  By Farkas' lemma exactly one of the two systems
+    is feasible.  Indices must differ and lie in range, and the points must
+    share one length, or `PreconditionError` is raised."""
     n = len(points)
     if not (0 <= i < n and 0 <= j < n):
         raise PreconditionError(f"pair ({i}, {j}) out of range for {n} points")
@@ -378,7 +378,14 @@ def lp_edge_feasible(points: Sequence[Sequence[Rat]], i: int, j: int) -> bool:
     dim = len(points[0])
     if any(len(p) != dim for p in points):
         raise PreconditionError("points of mixed length")
-    pts, _ = _integer_points(points)
+    return _lp_edge_feasible(_integer_points(points)[0], i, j)
+
+
+def _lp_edge_feasible(pts: Sequence[Sequence[int]], i: int, j: int) -> bool:
+    """`lp_edge_feasible` on integer points of one length, with i != j in
+    range, unchecked: a caller that tests many pairs of one point set
+    scales the points once and calls this per pair."""
+    n = len(pts)
     p, q = pts[i], pts[j]
     cols = [[a - b for a, b in zip(r, p)] for k, r in enumerate(pts) if k != i and k != j]
     u = [b - a for a, b in zip(p, q)]

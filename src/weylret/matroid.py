@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DescriptorMismatch, PreconditionError
-from .exact import Rat, certifies_edge, hull_edges, integer_primitive, lp_edge_feasible
+from .exact import Rat, certifies_edge, hull_edges, integer_primitive
+from .exact import _integer_points, _lp_edge_feasible
 from .retraction import SubsetM, _extremal_sets, algebraic_retract, closest_set
 from .retraction import _extremal_elements  # noqa: F401  (bench/spans.py traces the scan by this name)
 from .weyl import (
@@ -120,8 +121,8 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
     facets through it, checked by integer dot products to be tight on the
     edge's two points alone, so a reported failure always carries a
     certificate.  The combinatorial hull is also cross-checked against
-    `lp_edge_feasible` on every pair when the orbit has at most
-    `LP_CROSSCHECK_LIMIT` points.
+    the LP of `lp_edge_feasible` on every pair when the orbit has at most
+    `LP_CROSSCHECK_LIMIT` points, on the points scaled to integers once.
     """
     points, nu = orbit_points(M, nu)
     hull = hull_edges(points)
@@ -146,8 +147,9 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
             )
     if len(points) <= LP_CROSSCHECK_LIMIT:
         edge_set = set(edges)
+        scaled, _ = _integer_points(points)
         for i, j in itertools.combinations(range(len(points)), 2):
-            if lp_edge_feasible(points, i, j) != ((i, j) in edge_set):
+            if _lp_edge_feasible(scaled, i, j) != ((i, j) in edge_set):
                 raise AssertionError(
                     f"hull and LP disagree on pair ({list(members[i].window)},"
                     f" {list(members[j].window)})"

@@ -21,12 +21,15 @@ extremum has as its sorted prefixes the column-wise extrema of M's
 translated prefix sets, so the order route first reads it off those
 bounds, for a whole chunk of base elements in one array pass
 (`_extrema`), and a table or a matroid check over all of W enters numpy
-a few times per chunk rather than per u.  This uses M alone and never
-the greedy route.  The base elements of a chunk where no extremum is read
-off go together to one batched extremal scan (never to an error), which
-translates M for several of them at once and runs in chunks of
-(base element, row) pairs under one budget, so its memory stays bounded
-for any M and any number of failures.
+a few times per chunk rather than per u.  On a D factor the parity keys
+it checks the extremum against are those of M's distinct prefix sets,
+each set's counts one integer product of its letters with their
+parity-table rows, so they cost per distinct set, not per member.  This
+uses M alone and never the greedy route.  The base elements of a chunk
+where no extremum is read off go together to one batched extremal scan
+(never to an error), which translates M for several of them at once and
+runs in chunks of (base element, row) pairs under one budget, so its
+memory stays bounded for any M and any number of failures.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -273,18 +277,47 @@ def _parity_keys(r: int, ranks: np.ndarray) -> np.ndarray:
 
 def _parity_cost(r: int) -> int:
     """Entries `_parity_keys` holds per translate on a D_r factor: the
-    ranks of its head, their parity-table rows and their running sums."""
+    ranks of its head, their parity-table rows and their running sums.
+    The extremal scan pays them per row (`_scan_cost`)."""
     return (r - 1) * (1 + 6 * (r - 1))
+
+
+def _set_parity_keys(
+    r: int, off: int, levels: Sequence[np.ndarray], to_rank: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Per level k = 1..r-1 of the D_r factor at offset off, whose distinct
+    prefix sets are `levels`: the parity keys (`_parity_keys`) at the k
+    kept thresholds of each of the s_k sets, translated by each of the b
+    base elements of the letter lookups `to_rank`, shape s_k x b x k.  A
+    key is a function of the prefix set, and a set's three counts are the
+    sums of its letters' parity-table rows; so the rows of the factor's 2r
+    letters are gathered once, and each level takes one integer product
+    of them with its s_k x 2r 0/1 membership matrix."""
+    table, full, kept = _parity_table(r)
+    n = (to_rank.shape[1] - 1) // 2
+    b = len(to_rank)
+    # column i - 1 holds the letter off + i, column 2r - i the letter -(off + i)
+    own = np.arange(off + 1, off + r + 1)
+    rows = table[to_rank[:, n + np.concatenate([own, -own[::-1]])].T].reshape(2 * r, -1)
+    for k, sets in enumerate(levels[: r - 1], start=1):
+        member = np.zeros((len(sets), 2 * r), dtype=np.int64)
+        cols = np.where(sets > 0, sets - off - 1, 2 * r + off + sets)
+        member[np.arange(len(sets))[:, None], cols] = 1
+        high, low_bars, high_bars = np.moveaxis((member @ rows).reshape(-1, b, 3, r - 1), 2, 0)
+        keys = np.where(high == full, 2 * low_bars + (high_bars & 1), -1)
+        yield keys[..., kept[k - 1]]
 
 
 def _batch_size(M: SubsetM) -> int:
     """How many base elements one chunk of `_extrema` takes.  Per base
-    element it holds M's translated prefix sets, sorted; on each D factor,
-    the parity terms of every member."""
+    element it holds M's translated prefix sets, sorted; on each D_r
+    factor, the parity-table rows of its 2r letters and the three counts
+    of each distinct prefix set below level r, at every threshold."""
     per_base = 2 * sum(sets.size for levels in M.prefix_sets for sets in levels)
-    for _, f in M.group.segments():
+    for (_, f), levels in zip(M.group.segments(), M.prefix_sets):
         if f.type is WeylType.D:
-            per_base += len(M) * _parity_cost(f.rank)
+            sets = sum(len(s) for s in levels[: f.rank - 1])
+            per_base += 3 * (f.rank - 1) * (2 * f.rank + sets)
     return max(1, _BATCH_BUDGET // per_base)
 
 
@@ -300,8 +333,10 @@ def _extrema(M: SubsetM, bases: np.ndarray, side: str) -> np.ndarray:
     window.  A member found so has these ranks, so each of its sorted
     prefixes is bounded by, and sums to, the bound at its level: it equals
     the bound, and the bounds are nested.  On a D factor, v's parity keys
-    must also meet those of every member.  The bounds depend on M alone,
-    not on any candidate from another route."""
+    must also meet those of every member; a key depends only on the
+    prefix set, so they are taken once per distinct prefix set
+    (`_set_parity_keys`).  The bounds depend on M alone, not on any
+    candidate from another route."""
     n = M.group.window_length
     bases = np.asarray(bases, dtype=np.int64)
     to_rank = _letter_lookups(M.group, bases)
@@ -322,10 +357,11 @@ def _extrema(M: SubsetM, bases: np.ndarray, side: str) -> np.ndarray:
             prev = bound
         wins[:, off : off + f.rank] = letters[rows, added - 1]
         if f.type is WeylType.D:
-            head = slice(off, off + f.rank - 1)
             mine = _parity_keys(f.rank, added[:, : f.rank - 1])
-            theirs = _parity_keys(f.rank, to_rank[sets_at, n + M.windows_array[:, head]])
-            ok &= ((theirs ^ mine[:, None, :]) != 1).all(axis=(1, 2))
+            # v's keys at level k: its k kept thresholds, after those of levels < k
+            for k, theirs in enumerate(_set_parity_keys(f.rank, off, levels, to_rank), start=1):
+                at = slice(k * (k - 1) // 2, k * (k + 1) // 2)
+                ok &= ((theirs ^ mine[:, at]) != 1).all(axis=(0, 2))
     index = M.index
     return np.array(
         [index.get(tuple(w), -1) if hit else -1 for w, hit in zip(wins.tolist(), ok.tolist())],
@@ -392,7 +428,7 @@ def _extremal_elements(
                 meets &= (keys[:, None, :] ^ keys[:, at, None]) != 1
             # distinct translates have distinct rows, so a row meets only itself
             keep[:, at] = meets.sum(axis=2) == 1
-        out.extend(tuple(M.elements[i] for i in np.flatnonzero(row)) for row in keep)
+        out.extend(tuple(compress(M.elements, row)) for row in keep.tolist())
     return out
 
 

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from weylret.matroid import (
     set_order_leq,
     two_element_analysis,
 )
+from weylret import retraction
 from weylret.retraction import SubsetM, _extremal_elements, matroid_retract
 from weylret.suites import run_suite
 from weylret.weyl import (
@@ -238,6 +240,25 @@ def test_order_route_memory_stays_bounded():
     assert is_coxeter_matroid(interval).is_matroid
 
 
+def test_d_chunks_count_distinct_prefix_sets():
+    # parity keys are taken per distinct prefix set, so a D chunk's size
+    # follows M's prefix sets, not its member count
+    d4 = GroupDescriptor.simple(WeylType.D, 4)
+    interval = SubsetM(d4, bruhat_interval(d4.identity(), d4.element((1, -3, -2, 4))))
+    assert retraction._batch_size(interval) > 12
+
+    def sets(M):
+        return [s.tolist() for levels in M.prefix_sets for s in levels]
+
+    fewer = list(interval)
+    for w in interval:
+        trial = SubsetM(d4, tuple(v for v in fewer if v != w))
+        if sets(trial) == sets(interval):
+            fewer = list(trial)
+    assert len(fewer) < len(interval)
+    assert retraction._batch_size(SubsetM(d4, tuple(fewer))) == retraction._batch_size(interval)
+
+
 def test_order_route_memory_stays_bounded_when_most_bases_fail():
     # the scan takes the failures of a chunk of base elements together, in
     # chunks of (base element, row) pairs under one budget
@@ -355,6 +376,26 @@ def test_phi_raises_on_a_failed_certificate(s4, monkeypatch):
     M = subset(s4, (1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3))
     with pytest.raises(AssertionError, match="facet-normal certificate"):
         phi_polytope_check(M)
+
+
+def test_phi_lp_crosscheck_scales_once_and_runs_on_every_pair(s3, monkeypatch):
+    # a fractional base point: the orbit is scaled to integers once, and
+    # every pair of the orbit still goes to the LP
+    calls = []
+    core = weylret.matroid._lp_edge_feasible
+
+    def counted(pts, i, j):
+        calls.append((pts, i, j))
+        return core(pts, i, j)
+
+    monkeypatch.setattr(weylret.matroid, "_lp_edge_feasible", counted)
+    M = SubsetM(s3, elements(s3))
+    report = phi_polytope_check(M, (Fraction(0), Fraction(1, 2), Fraction(4, 3)))
+    assert report.is_phi and len(report.edges) == 6
+    assert [(i, j) for _, i, j in calls] == list(itertools.combinations(range(6), 2))
+    scaled = calls[0][0]
+    assert all(pts is scaled for pts, _, _ in calls)
+    assert all(type(v) is int for p in scaled for v in p)
 
 
 def test_gs_rank4_suite_small():
