@@ -5,8 +5,9 @@ gets the cone cut out by every root halfspace containing all its chambers:
 a root normal beta survives exactly when every member chamber sees
 u^-1 beta negative, that is when beta lies in the root set
 {u(gamma) : gamma negative} of every member.  Each member's root set is
-one bitmask over `all_roots()`, and the fiber's normals are the bits of
-their intersection, in `all_roots()` order.  For tables coming from
+one bitmask over `all_roots()` (`weyl.root_set`, whose per-group index the
+metric route of `retraction` shares), and the fiber's normals are the
+bits of their intersection, in `all_roots()` order.  For tables coming from
 retractions the member union is convex and the cone reproduces it
 exactly.
 
@@ -45,10 +46,11 @@ from .weyl import (
     GroupDescriptor,
     SignedPermutation,
     WeylType,
+    _sparse_roots,
     act_on_vector,
     compose,
-    is_negative_root_vector,
     order_key,
+    root_set,
 )
 
 
@@ -134,56 +136,6 @@ class Fan:
         }
 
 
-def _sparse_roots(
-    group: GroupDescriptor,
-) -> tuple[dict[tuple[int, ...], int], list, list]:
-    """What `_root_set` needs: an index from sparse forms to root bits over
-    `all_roots()`, and the nonzero entries (i, c) of each negative root,
-    as (i, c, j, d) for two entries and (i, c) for one.
-
-    The sparse form of a root lists (c, a) for each entry c e_a, with
-    e_abar = -e_a, so (c, a) and (-c, -a) stand for the same entry.  Every
-    root is indexed under each way of writing its entries, in both orders
-    when there are two: then u(gamma), whose entry c e_{i+1} goes to
-    c e_{u(i+1)}, is found by the letters of u alone."""
-    index: dict[tuple[int, ...], int] = {}
-    pairs, singles = [], []
-    for bit, beta in enumerate(group.all_roots()):
-        entries = [(i, c) for i, c in enumerate(beta) if c]
-        forms = [[(c, i + 1), (-c, -i - 1)] for i, c in entries]
-        if len(entries) == 2:
-            for x in forms[0]:
-                for y in forms[1]:
-                    index[x + y] = index[y + x] = bit
-        else:
-            for x in forms[0]:
-                index[x] = bit
-        if is_negative_root_vector(beta):
-            if len(entries) == 2:
-                pairs.append(entries[0] + entries[1])
-            else:
-                singles.append(entries[0])
-    return index, pairs, singles
-
-
-def _root_set(
-    u: SignedPermutation,
-    index: dict[tuple[int, ...], int],
-    pairs: Sequence[tuple[int, int, int, int]],
-    singles: Sequence[tuple[int, int]],
-) -> int:
-    """{u(gamma) : gamma a negative root}, the roots beta with u^-1 beta
-    negative, as a bitmask over the root indices in `index`; `index`,
-    `pairs` and `singles` come from `_sparse_roots`."""
-    win = u.window
-    mask = 0
-    for i, c, j, d in pairs:
-        mask |= 1 << index[c, win[i], d, win[j]]
-    for i, c in singles:
-        mask |= 1 << index[c, win[i]]
-    return mask
-
-
 def build_fan(table: RetractionTable) -> Fan:
     group = table.group
     fibers: dict[tuple[int, ...], list[SignedPermutation]] = {}
@@ -191,14 +143,13 @@ def build_fan(table: RetractionTable) -> Fan:
         fibers.setdefault(v.window, []).append(u)
     cones = []
     dim = group.ambient_dim
-    roots = group.all_roots()
-    index, pairs, singles = _sparse_roots(group)
+    roots = _sparse_roots(group)[0]
     everything = (1 << len(roots)) - 1
     for y in table.targets:
         members = fibers.get(y.window, [])
         common = everything
         for u in members:
-            common &= _root_set(u, index, pairs, singles)
+            common &= root_set(u)
         normals = tuple(beta for bit, beta in enumerate(roots) if common >> bit & 1)
         # one chamber's normals u(negative roots) span the root space, which
         # with the constant vectors of the type A blocks is everything

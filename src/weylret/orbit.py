@@ -99,19 +99,24 @@ def plucker_support(x: RationalMatrix) -> PluckerSupport:
 
 
 def fixed_points(support: PluckerSupport | RationalMatrix) -> SubsetM:
-    """Permutations whose prefix sets all lie in the support."""
+    """Permutations whose prefix sets all lie in the support, built one
+    letter at a time: a window of length k - 1 whose prefix sets all lie in
+    the support is extended by each letter a that makes its set plus a a
+    support set of size k."""
     if isinstance(support, RationalMatrix):
         support = plucker_support(support)
-    group = _type_a_group(support.n)
-    levels = [set(level) for level in support.sets]
-    keep = []
-    for w in elements(group):
-        if all(
-            tuple(sorted(w.window[:k])) in levels[k - 1]
-            for k in range(1, support.n + 1)
-        ):
-            keep.append(w)
-    return SubsetM(group, tuple(keep))
+    n = support.n
+    windows: list[tuple[int, ...]] = [()]
+    for level in support.sets:
+        allowed = set(map(frozenset, level))
+        windows = [
+            w + (a,)
+            for w in windows
+            for a in range(1, n + 1)
+            if a not in w and frozenset(w + (a,)) in allowed
+        ]
+    group = _type_a_group(n)
+    return SubsetM(group, tuple(SignedPermutation._unchecked(group, w) for w in windows))
 
 
 def limit_point(
@@ -148,17 +153,25 @@ def limit_point(
     return SignedPermutation._unchecked(_type_a_group(n), tuple(window))
 
 
+@lru_cache(maxsize=16)
+def _position_weights(n: int) -> tuple[int, ...]:
+    """The weight `weight_for_chamber` gives the letter at each window
+    position 1..n: n base^j minus the sum of base^1..base^n, with base
+    above n times the largest binomial coefficient of n."""
+    base = n * math.comb(n, n // 2) + 1
+    shift = sum(base**k for k in range(1, n + 1))
+    return tuple(n * base**j - shift for j in range(1, n + 1))
+
+
 def weight_for_chamber(u: SignedPermutation) -> tuple[int, ...]:
     """An integer weight interior to the chamber of u whose equal-size
     subset sums are pairwise distinct, so limits taken at it never tie."""
     if len(u.group.factors) != 1 or u.group.factors[0].type is not WeylType.A:
         raise ValueError("weights are built for a single type A factor")
     n = u.group.window_length
-    base = n * math.comb(n, n // 2) + 1
-    shift = sum(base**k for k in range(1, n + 1))
     lam = [0] * n
-    for j, letter in enumerate(u.window, start=1):
-        lam[letter - 1] = n * base**j - shift
+    for letter, weight in zip(u.window, _position_weights(n)):
+        lam[letter - 1] = weight
     return tuple(lam)
 
 

@@ -9,17 +9,18 @@ Three routes onto a subset M:
   multiplied back by u, with `NotAMatroidAt` when uniqueness fails;
 * metric: the set of elements of M closest to u in the word metric.
 
-The order and metric routes translate all of M at once: one lookup per u
-sends each letter a to u^-1(a), for lengths as the letter itself and for
-order as its rank in 1 < ... < r < rbar < ... < 1bar, and one fancy-index
-of `SubsetM.windows_array` then gives every translate u^-1 v.  Lengths are
-vectorised counts over column pairs.  Bruhat order becomes entrywise
-order of rows of sorted prefixes (the tableau criterion), plus, on D
-factors, a parity condition on integer keys of the prefixes; so the
-extremal scan is a chunked Pareto test on integer rows.  A unique
-extremum has as its sorted prefixes the column-wise extrema of M's
-translated prefix sets, so the order route first reads it off those
-bounds, for a whole chunk of base elements in one array pass
+The metric route needs no arrays: d(u, v) is half the popcount of the
+XOR of two integer root-set bitmasks (`weyl.root_set`), and `SubsetM`
+caches its members' masks.  The order route translates all of M at once:
+one lookup per u sends each letter a to the rank of u^-1(a) in
+1 < ... < r < rbar < ... < 1bar, and one fancy-index of
+`SubsetM.windows_array` then gives every translate u^-1 v.  Bruhat order
+becomes entrywise order of rows of sorted prefixes (the tableau
+criterion), plus, on D factors, a parity condition on integer keys of
+the prefixes; so the extremal scan is a chunked Pareto test on integer
+rows.  A unique extremum has as its sorted prefixes the column-wise
+extrema of M's translated prefix sets, so the order route first reads it
+off those bounds, for a whole chunk of base elements in one array pass
 (`_extrema`), and a table or a matroid check over all of W enters numpy
 a few times per chunk rather than per u.  On a D factor the parity keys
 it checks the extremum against are those of M's distinct prefix sets,
@@ -50,16 +51,29 @@ from .weyl import (
     elements,
     factor_extended_window,
     order_key,
+    root_set,
 )
 
 Trie = dict[int, "Trie"]
 
 
+@lru_cache(maxsize=16)
+def _letter_keys(group: GroupDescriptor) -> dict[int, int]:
+    """Each window letter of the group -> `order_key` of its local letter
+    in its factor's chain 1 < ... < r < rbar < ... < 1bar.  Shared and
+    only read."""
+    keys = {}
+    for off, f in group.segments():
+        for i in range(1, f.rank + 1):
+            keys[off + i] = order_key(i, f.rank)
+            keys[-off - i] = order_key(-i, f.rank)
+    return keys
+
+
 def _canonical_key(w: SignedPermutation) -> tuple[int, ...]:
-    out = []
-    for f, loc in zip(w.group.factors, w.local_windows()):
-        out.extend(order_key(v, f.rank) for v in loc)
-    return tuple(out)
+    """The sort key of SubsetM and table targets: per factor, the local
+    letters' `order_key`s, concatenated."""
+    return tuple(map(_letter_keys(w.group).__getitem__, w.window))
 
 
 @dataclass(frozen=True)
@@ -76,10 +90,7 @@ class SubsetM:
             if w.group != self.group:
                 raise ValueError(f"element {list(w.window)} not in {self.group}")
         uniq = {w.window: w for w in self.elements}
-        ordered = tuple(
-            uniq[win] for win in sorted(uniq, key=lambda win: _canonical_key(uniq[win]))
-        )
-        object.__setattr__(self, "elements", ordered)
+        object.__setattr__(self, "elements", tuple(sorted(uniq.values(), key=_canonical_key)))
 
     @classmethod
     def from_windows(
@@ -128,6 +139,11 @@ class SubsetM:
     @cached_property
     def windows_array(self) -> np.ndarray:
         return np.array([w.window for w in self.elements], dtype=np.int64)
+
+    @cached_property
+    def root_sets(self) -> tuple[int, ...]:
+        """`weyl.root_set` of each member, in order."""
+        return tuple(map(root_set, self.elements))
 
     @cached_property
     def prefix_sets(self) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -179,14 +195,14 @@ def algebraic_retract(
     "min") or latest ("max") still-extendable letter in the order u induces
     on window letters.  Needs M to be a product across factors."""
     _check_base(M, u)
+    if side not in ("min", "max"):
+        raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     if len(M.group.factors) > 1 and not M.is_product:
         sizes = tuple(map(len, M.projections))
         raise NotAProduct(
             f"|M| = {len(M)} but the factor projections have sizes {sizes}"
         )
     pick = min if side == "min" else max
-    if side not in ("min", "max"):
-        raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     win: list[int] = []
     for (off, f), trie, loc in zip(M.group.segments(), M.tries, u.local_windows()):
         pos = {v: i for i, v in enumerate(factor_extended_window(f, loc))}
@@ -218,13 +234,6 @@ def _letter_lookups(
     to_rank = np.zeros((len(at), 2 * n + 1), dtype=np.int64)
     to_rank[rows, n + at], to_rank[rows, n - at] = local, top - local
     return to_rank
-
-
-@lru_cache(maxsize=16)
-def _column_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the column pairs i < j of r columns; every caller
-    shares them, and they are only ever read."""
-    return np.triu_indices(r, 1)
 
 
 def _sorted_prefix_rows(group: GroupDescriptor, ranks: np.ndarray) -> np.ndarray:
@@ -483,30 +492,16 @@ def closest_set(
     M: SubsetM, u: SignedPermutation
 ) -> tuple[tuple[SignedPermutation, ...], int]:
     """Elements of M at minimal word-metric distance from u, with the
-    distance.  The length of each translate u^-1 v counts, over column pairs
-    i < j of a factor, the conditions of `weyl._length_signed`: the two of
-    them sum to [|a| > |b|] + 2 [|a| < |b| and a < 0] for letters a, b, so
-    on A the count is the inversion count; BC adds its bar count."""
+    distance.  d(u, v) = l(u^-1 v) is the number of root hyperplanes
+    between the chambers of u and v, which is half the size of the
+    symmetric difference of their root sets (`weyl.root_set`): one XOR
+    and one popcount per member, against the masks `SubsetM.root_sets`
+    holds."""
     _check_base(M, u)
-    n = len(u.window)
-    # u^-1 as a row over the letters -n..n, so that letters[v, i] is u^-1 v(i)
-    inverse = [0] * (2 * n + 1)
-    for i, a in enumerate(u.window, start=1):
-        inverse[n + a], inverse[n - a] = i, -i
-    letters = np.array(inverse)[n + M.windows_array]
-    dist = np.zeros(len(M), dtype=np.int64)
-    for off, f in M.group.segments():
-        seg = letters[:, off : off + f.rank]
-        i, j = _column_pairs(f.rank)
-        a, b = seg[:, i], seg[:, j]
-        over = np.abs(a) > np.abs(b)
-        dist += over.sum(axis=1)
-        if f.type is not WeylType.A:
-            dist += 2 * (~over & (a < 0)).sum(axis=1)
-        if f.type is WeylType.BC:
-            dist += (seg < 0).sum(axis=1)
-    best = int(dist.min())
-    return tuple(M.elements[i] for i in np.flatnonzero(dist == best)), best
+    mine = root_set(u)
+    dist = [(mine ^ theirs).bit_count() for theirs in M.root_sets]
+    best = min(dist)
+    return tuple(compress(M.elements, [d == best for d in dist])), best // 2
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ every type, plus on D an integer parity criterion on prefixes
 (`retraction._parity_keys`); `_bruhat_leq_d` is the scalar reference that
 criterion is tested against.
 
+`root_set` gives the roots a chamber sees negative as one integer
+bitmask, so word distances are popcounts of an XOR; the fan and the
+metric route of `retraction` both read it.
+
 A product group is stored as one concatenated window: the factor starting
 at offset t with rank r owns the letters t+1 .. t+r.
 """
@@ -627,3 +631,58 @@ def is_negative_root_vector(vec: Sequence[Scalar]) -> bool:
         if c != 0:
             return c < 0
     raise ValueError("zero vector is not a root")
+
+
+# --- Root sets as bitmasks ------------------------------------------------
+
+@lru_cache(maxsize=16)
+def _sparse_roots(
+    group: GroupDescriptor,
+) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int], tuple, tuple]:
+    """What `root_set` needs, built once per group: `all_roots()`, whose
+    order numbers the bits; an index from sparse forms to those bits; and
+    the nonzero entries (i, c) of each negative root, as (i, c, j, d) for
+    two entries and (i, c) for one.  Shared and only read.
+
+    The sparse form of a root lists (c, a) for each entry c e_a, with
+    e_abar = -e_a, so (c, a) and (-c, -a) stand for the same entry.  Every
+    root is indexed under each way of writing its entries, in both orders
+    when there are two: then u(gamma), whose entry c e_{i+1} goes to
+    c e_{u(i+1)}, is found by the letters of u alone."""
+    roots = group.all_roots()
+    index: dict[tuple[int, ...], int] = {}
+    pairs, singles = [], []
+    for bit, beta in enumerate(roots):
+        entries = [(i, c) for i, c in enumerate(beta) if c]
+        forms = [[(c, i + 1), (-c, -i - 1)] for i, c in entries]
+        if len(entries) == 2:
+            for x in forms[0]:
+                for y in forms[1]:
+                    index[x + y] = index[y + x] = bit
+        else:
+            for x in forms[0]:
+                index[x] = bit
+        if is_negative_root_vector(beta):
+            if len(entries) == 2:
+                pairs.append(entries[0] + entries[1])
+            else:
+                singles.append(entries[0])
+    return roots, index, tuple(pairs), tuple(singles)
+
+
+def root_set(u: SignedPermutation) -> int:
+    """R(u) = {u(gamma) : gamma a negative root}, the roots beta with
+    u^-1 beta negative, as a bitmask over `group.all_roots()`.  Every
+    R(u) holds one of beta and -beta for each root.  v^-1 maps
+    R(u) - R(v) one to one onto the positive roots that u^-1 v sends
+    negative, so |R(u) ^ R(v)| = 2 l(u^-1 v) = 2 metric(u, v): twice the
+    number of root hyperplanes between the chambers of u and v
+    (Humphreys, Reflection Groups and Coxeter Groups, Sections 1.6-1.7)."""
+    _, index, pairs, singles = _sparse_roots(u.group)
+    win = u.window
+    mask = 0
+    for i, c, j, d in pairs:
+        mask |= 1 << index[c, win[i], d, win[j]]
+    for i, c in singles:
+        mask |= 1 << index[c, win[i]]
+    return mask

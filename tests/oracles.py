@@ -5,8 +5,10 @@ word lengths come from breadth-first search over the Cayley graph, the
 Bruhat order from the reflexive-transitive closure of covering relations,
 planar hulls from sympy's geometry module, the chambers and cone normals
 of a fan from scans over the whole group and every root, the Pluecker
-support from one determinant per minor, and hull edges from the primal
-edge LP, of which the library solves the Farkas dual.
+support from one determinant per minor, hull edges from the primal
+edge LP, of which the library solves the Farkas dual, the torus fixed
+points from a test of every permutation, and the canonical sort key from
+`order_key` on each factor's local window.
 """
 
 from __future__ import annotations
@@ -19,14 +21,17 @@ from sympy.geometry import Point2D, Polygon, Segment2D, convex_hull
 
 from weylret.exact import Membership, RationalMatrix, cone_membership, lp_feasible
 from weylret.fan import chamber_cone
+from weylret.orbit import PluckerSupport
 from weylret.weyl import (
     GroupDescriptor,
     SignedPermutation,
+    WeylType,
     act_on_vector,
     compose,
     elements,
     inverse,
     is_negative_root_vector,
+    order_key,
 )
 
 Window = tuple[int, ...]
@@ -167,3 +172,23 @@ def lp_edge_primal(points, i: int, j: int) -> bool:
         if k not in (i, j)
     ]
     return lp_feasible(ineqs, eqs, len(p))
+
+
+def fixed_point_windows_by_scan(support: PluckerSupport) -> tuple[Window, ...]:
+    """The windows of S_n, in enumeration order, all of whose prefix sets
+    lie in the support: every element of the group tested."""
+    levels = [set(level) for level in support.sets]
+    return tuple(
+        w.window
+        for w in elements(GroupDescriptor.simple(WeylType.A, support.n))
+        if all(tuple(sorted(w.window[:k])) in levels[k - 1] for k in range(1, support.n + 1))
+    )
+
+
+def canonical_key_by_factors(w: SignedPermutation) -> tuple[int, ...]:
+    """Per factor, `order_key` of each letter of its local window, at the
+    factor's rank, concatenated."""
+    out = []
+    for f, loc in zip(w.group.factors, w.local_windows()):
+        out.extend(order_key(v, f.rank) for v in loc)
+    return tuple(out)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import plucker_sets_by_minors
+from oracles import fixed_point_windows_by_scan, plucker_sets_by_minors
 from weylret.errors import GiveUp, PreconditionError, SingularMatrix, TieDetected
 from weylret.exact import RationalMatrix
 from weylret.orbit import (
@@ -56,6 +56,18 @@ def test_fixed_points_demo_values(s3):
     assert {w.window for w in fixed_points(DEMO_2)} == {(1, 2, 3), (3, 2, 1)}
     # accepts a precomputed support as well
     assert fixed_points(plucker_support(DEMO_1)) == fixed_points(DEMO_1)
+
+
+def test_fixed_points_match_group_scan():
+    # windows extended level by level against a test of every permutation,
+    # on the demo supports and on seeded sparse (degenerate) ones
+    mats = [DEMO_1, DEMO_2]
+    for n in (4, 5):
+        mats += [sample_rational_point(n, seed, kind="sparse") for seed in range(25)]
+    for mat in mats:
+        sup = plucker_support(mat)
+        got = tuple(w.window for w in fixed_points(sup))
+        assert got == fixed_point_windows_by_scan(sup)
 
 
 def test_weight_for_chamber_recovers_chamber(s4):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import covering_closure, oracle_leq
+from oracles import canonical_key_by_factors, covering_closure, oracle_leq
 from weylret import retraction
 from weylret.errors import DescriptorMismatch, NotAMatroidAt, NotAProduct, ParseError
 from weylret.exact import RationalMatrix
@@ -80,6 +80,26 @@ def test_is_product():
     assert not M.is_product
     with pytest.raises(NotAProduct):
         algebraic_retract(M, g.identity())
+
+
+def test_greedy_checks_side_before_product():
+    # a bad side is a ValueError on any M, as for the order route
+    g = GroupDescriptor((Factor(WeylType.A, 2), Factor(WeylType.A, 2)))
+    M = subset(g, (1, 2, 3, 4), (2, 1, 4, 3))
+    for retract in (algebraic_retract, matroid_retract):
+        with pytest.raises(ValueError, match="side"):
+            retract(M, g.identity(), side="bogus")
+
+
+def test_canonical_key_matches_per_factor_order_keys():
+    g = GroupDescriptor((Factor(WeylType.A, 3), Factor(WeylType.D, 3), Factor(WeylType.BC, 2)))
+    pool = elements(g)
+    for w in pool:
+        assert retraction._canonical_key(w) == canonical_key_by_factors(w)
+    shuffled = list(pool)
+    random.Random(7).shuffle(shuffled)
+    M = SubsetM(g, tuple(shuffled[:200]))
+    assert list(M) == sorted(shuffled[:200], key=canonical_key_by_factors)
 
 
 # --- greedy route -----------------------------------------------------------

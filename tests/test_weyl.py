@@ -33,6 +33,7 @@ from weylret.weyl import (
     longest_element,
     metric,
     order_key,
+    root_set,
 )
 
 
@@ -304,6 +305,29 @@ def test_length_and_metric_laws_property(triple):
     v, w, _ = triple
     assert length(v) == length(inverse(v))
     assert metric(v, w) == metric(w, v)
+
+
+_ROOT_SET_GROUPS = [
+    GroupDescriptor.simple(WeylType.A, 5),  # A4, that is S5
+    GroupDescriptor.simple(WeylType.BC, 3),
+    GroupDescriptor.simple(WeylType.D, 4),
+    GroupDescriptor((Factor(WeylType.A, 3), Factor(WeylType.D, 3), Factor(WeylType.BC, 2))),
+]
+
+
+@st.composite
+def element_pairs(draw):
+    pool = elements(draw(st.sampled_from(_ROOT_SET_GROUPS)))
+    return draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=element_pairs())
+def test_root_set_xor_counts_metric_property(pair):
+    # metric goes through `length`, which counts inversions with no root set
+    u, v = pair
+    assert (root_set(u) ^ root_set(v)).bit_count() // 2 == metric(u, v)
+    assert root_set(u).bit_count() == len(u.group.positive_roots())
 
 
 @settings(max_examples=60, deadline=None)
