@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -45,7 +46,6 @@ from .retraction import (
 )
 from .suites import SUITES, _random_subset, run_suite
 from .weyl import Factor, GroupDescriptor, SignedPermutation, WeylType
-import random
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,12 +113,17 @@ def _letters(data) -> list:
     return data
 
 
-def parse_window(group: GroupDescriptor, text: str) -> SignedPermutation:
-    data = _letters(_json_value(text))
+def _window(group: GroupDescriptor, data) -> SignedPermutation:
+    """The element of a decoded JSON window."""
+    data = _letters(data)
     try:
         return group.element(data)
     except ValueError as exc:
         raise ParseError(f"bad window {data!r}: {exc}") from exc
+
+
+def parse_window(group: GroupDescriptor, text: str) -> SignedPermutation:
+    return _window(group, _json_value(text))
 
 
 def parse_subset(group: GroupDescriptor, text: str) -> SubsetM:
@@ -306,8 +311,7 @@ def cmd_two_element(args) -> int:
     data = _json_value(args.pair)
     if not isinstance(data, list) or len(data) != 2:
         raise ParseError("pair must be a JSON list of two windows")
-    x = parse_window(group, json.dumps(data[0]))
-    y = parse_window(group, json.dumps(data[1]))
+    x, y = (_window(group, w) for w in data)
     rep = two_element_analysis(x, y)
     _emit({
         "pair": [list(x.window), list(y.window)],
@@ -365,13 +369,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="weylret", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_subset_options(p, with_method=True, methods=METHODS):
+    def add_subset_options(p, with_method=True, methods=METHODS, with_side=True):
         p.add_argument("--group", help="group shorthand like A2, BC2, A2xA1, or JSON")
         p.add_argument("--subset", help="JSON list of windows")
         p.add_argument("--matrix", help="JSON matrix; its fixed points become the subset")
         if with_method:
             p.add_argument("--method", choices=methods, default="greedy")
-        p.add_argument("--side", choices=("min", "max"), default="min")
+        if with_side:
+            p.add_argument("--side", choices=("min", "max"), default="min")
 
     p = sub.add_parser("retract", help="retract one element onto a subset")
     add_subset_options(p, methods=("greedy", "order", "closest"))
@@ -406,7 +411,7 @@ def build_parser() -> _Parser:
     add_subset_options(q, with_method=False)
     q.set_defaults(fn=cmd_matroid_check)
     q = msub.add_parser("polytope", help="root-parallel-edge route")
-    add_subset_options(q, with_method=False)
+    add_subset_options(q, with_method=False, with_side=False)
     q.set_defaults(fn=cmd_matroid_polytope)
     q = msub.add_parser("scan", help="random search for disagreement between routes")
     q.add_argument("--group", required=True)

@@ -247,7 +247,6 @@ class HalfspaceCone:
 
     normals: tuple[tuple[int, ...], ...]
     equalities: tuple[tuple[int, ...], ...] = ()
-    dim: int = 0
 
 
 def _dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
@@ -410,14 +409,11 @@ class Facet(NamedTuple):
 @dataclass(frozen=True)
 class Hull:
     """Vertex indices, edge pairs (i < j) and facets of the convex hull of
-    indexed points; unpacks as (vertices, edges)."""
+    indexed points."""
 
     vertices: list[int]
     edges: list[tuple[int, int]]
     facets: tuple[Facet, ...]
-
-    def __iter__(self):
-        return iter((self.vertices, self.edges))
 
     def edge_certificate(self, i: int, j: int) -> tuple[tuple[int, ...], Rat]:
         """(normal, offset): the sum of the facets through points i and j.

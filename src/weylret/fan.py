@@ -61,7 +61,7 @@ def _negated_simples(group: GroupDescriptor) -> tuple[tuple[int, ...], ...]:
 def chamber_cone(u: SignedPermutation) -> HalfspaceCone:
     """The closed chamber of u as a halfspace cone."""
     normals = tuple(act_on_vector(u, neg) for neg in _negated_simples(u.group))
-    return HalfspaceCone(normals=normals, dim=u.group.ambient_dim)
+    return HalfspaceCone(normals=normals)
 
 
 def _type_a_ones(group: GroupDescriptor) -> list[list[int]]:
@@ -142,7 +142,6 @@ def build_fan(table: RetractionTable) -> Fan:
     for u, v in table.mapping:
         fibers.setdefault(v.window, []).append(u)
     cones = []
-    dim = group.ambient_dim
     roots = _sparse_roots(group)[0]
     everything = (1 << len(roots)) - 1
     for y in table.targets:
@@ -158,7 +157,7 @@ def build_fan(table: RetractionTable) -> Fan:
             FanCone(
                 target=y,
                 members=tuple(members),
-                cone=HalfspaceCone(normals=normals, dim=dim),
+                cone=HalfspaceCone(normals=normals),
                 reduced_lineality=lin,
             )
         )

@@ -12,7 +12,7 @@ A third route for the order itself: on types A and BC the shifted Bruhat
 order is equivalent to prefix-set dominance in the Gale order the base
 element induces, which `flag_order_leq` computes from scratch.  On D the
 order is still read off prefix sets, but Gale dominance alone is too weak:
-it also needs a parity condition (see `retraction._parity_keys`).
+it also needs a parity condition (see `retraction._set_parity_keys`).
 """
 
 from __future__ import annotations
@@ -126,9 +126,8 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
     """
     points, nu = orbit_points(M, nu)
     hull = hull_edges(points)
-    verts, edges = hull
     # points of one orbit lie on a sphere, so each must come back a vertex
-    if len(verts) != len(points):
+    if len(hull.vertices) != len(points):
         raise AssertionError("regular orbit point was not a hull vertex")
     # a direction is parallel to a root iff their primitive forms agree;
     # a root and its negative share one
@@ -136,7 +135,7 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
     members = M.elements
     offending = [
         (i, j)
-        for i, j in edges
+        for i, j in hull.edges
         if integer_primitive([a - b for a, b in zip(points[i], points[j])]) not in root_lines
     ]
     for i, j in offending:
@@ -146,7 +145,7 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
                 f" {list(members[j].window)}) fails its facet-normal certificate"
             )
     if len(points) <= LP_CROSSCHECK_LIMIT:
-        edge_set = set(edges)
+        edge_set = set(hull.edges)
         scaled, _ = _integer_points(points)
         for i, j in itertools.combinations(range(len(points)), 2):
             if _lp_edge_feasible(scaled, i, j) != ((i, j) in edge_set):
@@ -156,8 +155,8 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
                 )
     return PhiReport(
         not offending,
-        tuple(members[k] for k in verts),
-        tuple((members[i], members[j]) for i, j in edges),
+        tuple(members[k] for k in hull.vertices),
+        tuple((members[i], members[j]) for i, j in hull.edges),
         tuple((members[i], members[j]) for i, j in offending),
         nu,
     )

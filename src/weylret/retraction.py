@@ -11,26 +11,26 @@ Three routes onto a subset M:
 
 The metric route needs no arrays: d(u, v) is half the popcount of the
 XOR of two integer root-set bitmasks (`weyl.root_set`), and `SubsetM`
-caches its members' masks.  The order route translates all of M at once:
-one lookup per u sends each letter a to the rank of u^-1(a) in
-1 < ... < r < rbar < ... < 1bar, and one fancy-index of
-`SubsetM.windows_array` then gives every translate u^-1 v.  Bruhat order
-becomes entrywise order of rows of sorted prefixes (the tableau
-criterion), plus, on D factors, a parity condition on integer keys of
-the prefixes; so the extremal scan is a chunked Pareto test on integer
-rows.  A unique extremum has as its sorted prefixes the column-wise
-extrema of M's translated prefix sets, so the order route first reads it
-off those bounds, for a whole chunk of base elements in one array pass
-(`_extrema`), and a table or a matroid check over all of W enters numpy
-a few times per chunk rather than per u.  On a D factor the parity keys
-it checks the extremum against are those of M's distinct prefix sets,
-each set's counts one integer product of its letters with their
-parity-table rows, so they cost per distinct set, not per member.  This
+caches its members' masks.  The order route translates M once per
+distinct prefix set: one lookup per u sends each letter a to the rank of
+u^-1(a) in 1 < ... < r < rbar < ... < 1bar, and `_translated_sets` gives,
+at each level k, the sorted ranks of each distinct set of k leading
+letters of M (`SubsetM.prefix_sets`) under u^-1.  Bruhat order becomes
+entrywise order of sorted prefixes (the tableau criterion), plus, on D
+factors, a parity condition on integer keys of the prefixes, which also
+depend on the prefix set alone (`_set_parity_keys`); so both cost per
+distinct set, not per member.  A unique extremum has as its sorted
+prefixes the column-wise extrema of M's translated prefix sets, so the
+order route first reads it off those bounds, for a whole chunk of base
+elements in one array pass (`_extrema`), and a table or a matroid check
+over all of W enters numpy a few times per chunk rather than per u.  This
 uses M alone and never the greedy route.  The base elements of a chunk
 where no extremum is read off go together to one batched extremal scan
-(never to an error), which translates M for several of them at once and
-runs in chunks of (base element, row) pairs under one budget, so its
-memory stays bounded for any M and any number of failures.
+(never to an error), a Pareto test on integer rows that gathers each
+member's sorted prefixes and keys from those of its sets
+(`SubsetM.prefix_ids`), and runs in chunks of (base element, row) pairs
+under one budget, so its memory stays bounded for any M and any number of
+failures.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ from .weyl import (
 )
 
 Trie = dict[int, "Trie"]
+# per factor, one array per level k = 1..rank
+PerLevel = tuple[tuple[np.ndarray, ...], ...]
 
 
 @lru_cache(maxsize=16)
@@ -137,27 +139,36 @@ class SubsetM:
         return tuple(out)
 
     @cached_property
-    def windows_array(self) -> np.ndarray:
-        return np.array([w.window for w in self.elements], dtype=np.int64)
-
-    @cached_property
     def root_sets(self) -> tuple[int, ...]:
         """`weyl.root_set` of each member, in order."""
         return tuple(map(root_set, self.elements))
 
     @cached_property
-    def prefix_sets(self) -> tuple[tuple[np.ndarray, ...], ...]:
+    def _prefixes(self) -> tuple[PerLevel, PerLevel]:
+        sets_out, ids_out = [], []
+        for off, f in self.group.segments():
+            sets_f, ids_f = [], []
+            for k in range(1, f.rank + 1):
+                heads = [tuple(sorted(w.window[off : off + k])) for w in self.elements]
+                row = {s: i for i, s in enumerate(sorted(set(heads)))}
+                sets_f.append(np.array(list(row), dtype=np.int64))
+                ids_f.append(np.array([row[h] for h in heads], dtype=np.intp))
+            sets_out.append(tuple(sets_f))
+            ids_out.append(tuple(ids_f))
+        return tuple(sets_out), tuple(ids_out)
+
+    @property
+    def prefix_sets(self) -> PerLevel:
         """Per factor and level k = 1..rank, the distinct sets of the first
         k letters of the members in that factor, one sorted row of window
         letters per set.  Dominance tables depend only on these sets."""
-        out = []
-        for off, f in self.group.segments():
-            levels = []
-            for k in range(1, f.rank + 1):
-                sets = {tuple(sorted(w.window[off : off + k])) for w in self.elements}
-                levels.append(np.array(sorted(sets), dtype=np.int64))
-            out.append(tuple(levels))
-        return tuple(out)
+        return self._prefixes[0]
+
+    @property
+    def prefix_ids(self) -> PerLevel:
+        """Per factor and level, the row in `prefix_sets` of each member's
+        set, in the order of `elements`."""
+        return self._prefixes[1]
 
     def to_json(self) -> dict:
         return {
@@ -236,19 +247,20 @@ def _letter_lookups(
     return to_rank
 
 
-def _sorted_prefix_rows(group: GroupDescriptor, ranks: np.ndarray) -> np.ndarray:
-    """One row per translate, whose ranks lie along the last axis of
-    `ranks`: the sorted rank prefixes k = 1..r of every factor,
-    concatenated.  On A and BC factors, w <= v in Bruhat order iff
-    row w <= row v entrywise (Bjorner-Brenti, GTM 231, Section 2.1 and
-    Cor. 8.1.9), the test `weyl._bruhat_leq_prefix` makes on one pair.  On
-    D factors this is condition (i) of the order, and `_parity_keys` gives
-    condition (ii)."""
-    cols = []
-    for off, f in group.segments():
-        for k in range(1, f.rank + 1):
-            cols.append(np.sort(ranks[..., off : off + k], axis=-1))
-    return np.concatenate(cols, axis=-1)
+def _translated_sets(levels: Sequence[np.ndarray], to_rank: np.ndarray) -> Iterator[np.ndarray]:
+    """Per level k = 1..r of a factor whose distinct prefix sets are
+    `levels`: the ranks of each of the s_k sets translated by each of the b
+    base elements of the letter lookups `to_rank`, sorted, shape
+    b x s_k x k.  On A and BC factors, w <= v in Bruhat order iff at every
+    level w's sorted rank prefix lies entrywise below v's (Bjorner-Brenti,
+    GTM 231, Section 2.1 and Cor. 8.1.9), the test
+    `weyl._bruhat_leq_prefix` makes on one pair.  On D factors this is
+    condition (i) of the order, and `_set_parity_keys` gives condition
+    (ii)."""
+    n = (to_rank.shape[1] - 1) // 2
+    at = np.arange(len(to_rank))[:, None, None]
+    for sets in levels:
+        yield np.sort(to_rank[at, n + sets], axis=2)
 
 
 @lru_cache(maxsize=16)
@@ -266,10 +278,14 @@ def _parity_table(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table, r + 1 - t, np.add.outer(np.arange(1, r), t) > r
 
 
-def _parity_keys(r: int, ranks: np.ndarray) -> np.ndarray:
-    """Keys of condition (ii) of Bruhat order on D_r, one row per row of
-    `ranks`, whose last axis holds the ranks of the first r - 1 letters of
-    a D_r factor.  For w <= v on D_r, (i) the sorted-prefix rows must meet
+def _set_parity_keys(
+    r: int, off: int, levels: Sequence[np.ndarray], to_rank: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Keys of condition (ii) of Bruhat order on D_r, per level
+    k = 1..r-1 of the D_r factor at offset off, whose distinct prefix sets
+    are `levels`, shape s_k x b x k: each of the s_k sets translated by
+    each of the b base elements of the letter lookups `to_rank`.  For
+    w <= v on D_r, (i) the sorted prefixes must meet (`_translated_sets`)
     and (ii) at every prefix length k < r and threshold t = 2..r where both
     prefixes hold all letters of absolute value >= t and the same number C
     of barred letters of absolute value < t, they must hold the same parity
@@ -277,31 +293,12 @@ def _parity_keys(r: int, ranks: np.ndarray) -> np.ndarray:
     the tableau criterion, Bjorner-Brenti, GTM 231, Section 8.2).  The key
     of (k, t) is -1 when the prefix is not full, else 2C + P, so (ii) fails
     exactly where two keys differ in their last bit alone: x ^ y == 1.  A
-    prefix with k + t <= r is never full, so those pairs are left out."""
-    table, full, kept = _parity_table(r)
-    high, low_bars, high_bars = np.moveaxis(table[ranks].cumsum(axis=-3), -2, 0)
-    keys = np.where(high == full, 2 * low_bars + (high_bars & 1), -1)
-    return keys[..., kept]
-
-
-def _parity_cost(r: int) -> int:
-    """Entries `_parity_keys` holds per translate on a D_r factor: the
-    ranks of its head, their parity-table rows and their running sums.
-    The extremal scan pays them per row (`_scan_cost`)."""
-    return (r - 1) * (1 + 6 * (r - 1))
-
-
-def _set_parity_keys(
-    r: int, off: int, levels: Sequence[np.ndarray], to_rank: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Per level k = 1..r-1 of the D_r factor at offset off, whose distinct
-    prefix sets are `levels`: the parity keys (`_parity_keys`) at the k
-    kept thresholds of each of the s_k sets, translated by each of the b
-    base elements of the letter lookups `to_rank`, shape s_k x b x k.  A
-    key is a function of the prefix set, and a set's three counts are the
-    sums of its letters' parity-table rows; so the rows of the factor's 2r
-    letters are gathered once, and each level takes one integer product
-    of them with its s_k x 2r 0/1 membership matrix."""
+    prefix with k + t <= r is never full, so only the k thresholds with
+    k + t > r are kept.  A key is a function of the prefix set, and a set's
+    three counts are the sums of its letters' parity-table rows; so the
+    rows of the factor's 2r letters are gathered once, and each level
+    takes one integer product of them with its s_k x 2r 0/1 membership
+    matrix."""
     table, full, kept = _parity_table(r)
     n = (to_rank.shape[1] - 1) // 2
     b = len(to_rank)
@@ -335,47 +332,44 @@ def _extrema(M: SubsetM, bases: np.ndarray, side: str) -> np.ndarray:
     unique Bruhat-least (side "min") or -greatest ("max") translate
     u^-1 v, or -1 when there is none.  A unique extremum lies below
     (above) every translate, so at each level k its sorted rank prefix is
-    the column-wise extremum of M's translated prefix sets, shape
-    b x s_k x k.  The bounds at levels k - 1 and k interlace, so the
-    difference of their sums is a rank in 1..2r: the k-th letter of the
-    translate, which u maps back to a letter of v, and v is looked up by
-    window.  A member found so has these ranks, so each of its sorted
+    the column-wise extremum of M's translated prefix sets
+    (`_translated_sets`).  The bounds at levels k - 1 and k interlace, so
+    the difference of their sums is a rank in 1..2r: the k-th letter of
+    the translate, which u maps back to a letter of v, and v is looked up
+    by window.  A member found so has these ranks, so each of its sorted
     prefixes is bounded by, and sums to, the bound at its level: it equals
-    the bound, and the bounds are nested.  On a D factor, v's parity keys
-    must also meet those of every member; a key depends only on the
-    prefix set, so they are taken once per distinct prefix set
+    the bound, and the bounds are nested.  On a D factor, v's parity keys,
+    those of its own prefix sets, must also meet those of every set
     (`_set_parity_keys`).  The bounds depend on M alone, not on any
     candidate from another route."""
-    n = M.group.window_length
     bases = np.asarray(bases, dtype=np.int64)
     to_rank = _letter_lookups(M.group, bases)
     rows = np.arange(len(bases))[:, None]
-    sets_at = rows[:, :, None]
     extremum = np.min if side == "min" else np.max
-    ok = np.ones(len(bases), dtype=bool)
     wins = np.empty_like(bases)
     for (off, f), levels in zip(M.group.segments(), M.prefix_sets):
         # the letter u(i) of v has rank i, and u(-i) = -u(i) has rank 2r + 1 - i
         seg = bases[:, off : off + f.rank]
         letters = np.concatenate([seg, -seg[:, ::-1]], axis=1)
         added = np.empty((len(bases), f.rank), dtype=np.int64)
-        prev = added[:, :0]
-        for k, sets in enumerate(levels, start=1):
-            bound = extremum(np.sort(to_rank[sets_at, n + sets], axis=2), axis=1)
-            added[:, k - 1] = bound.sum(axis=1) - prev.sum(axis=1)
-            prev = bound
+        prev = 0
+        for k, translated in enumerate(_translated_sets(levels, to_rank)):
+            total = extremum(translated, axis=1).sum(axis=1)
+            added[:, k] = total - prev
+            prev = total
         wins[:, off : off + f.rank] = letters[rows, added - 1]
-        if f.type is WeylType.D:
-            mine = _parity_keys(f.rank, added[:, : f.rank - 1])
-            # v's keys at level k: its k kept thresholds, after those of levels < k
-            for k, theirs in enumerate(_set_parity_keys(f.rank, off, levels, to_rank), start=1):
-                at = slice(k * (k - 1) // 2, k * (k + 1) // 2)
-                ok &= ((theirs ^ mine[:, at]) != 1).all(axis=(0, 2))
     index = M.index
-    return np.array(
-        [index.get(tuple(w), -1) if hit else -1 for w, hit in zip(wins.tolist(), ok.tolist())],
-        dtype=np.int64,
-    )
+    found = np.array([index.get(tuple(w), -1) for w in wins.tolist()], dtype=np.int64)
+    hit = np.flatnonzero(found >= 0)
+    for (off, f), levels, ids in zip(M.group.segments(), M.prefix_sets, M.prefix_ids):
+        if f.type is WeylType.D and hit.size:
+            v = found[hit]
+            ok = np.ones(hit.size, dtype=bool)
+            for keys, at in zip(_set_parity_keys(f.rank, off, levels, to_rank[hit]), ids):
+                ok &= ((keys ^ keys[at[v], np.arange(hit.size)]) != 1).all(axis=(0, 2))
+            found[hit[~ok]] = -1
+            hit = hit[ok]
+    return found
 
 
 def _dominates_all(M: SubsetM, u: SignedPermutation, cand: SignedPermutation, side: str) -> bool:
@@ -386,13 +380,14 @@ def _dominates_all(M: SubsetM, u: SignedPermutation, cand: SignedPermutation, si
 
 def _scan_cost(M: SubsetM) -> int:
     """Entries one row of the extremal scan holds: its m comparisons with
-    the translates of its base element, or its own translate's ranks,
-    sorted prefixes and, on a D factor, parity terms, whichever is more."""
-    width = M.group.window_length
+    the translates of its base element, or its gathered sorted prefixes
+    and, on a D_r factor, k parity keys at each level k < r, whichever is
+    more."""
+    width = 0
     for _, f in M.group.segments():
         width += f.rank * (f.rank + 1) // 2
         if f.type is WeylType.D:
-            width += _parity_cost(f.rank)
+            width += f.rank * (f.rank - 1) // 2
     return max(len(M), width)
 
 
@@ -401,13 +396,13 @@ def _extremal_elements(
 ) -> list[tuple[SignedPermutation, ...]]:
     """For each u of `us`, the elements of M whose translate u^-1 v is
     Bruhat-minimal (or -maximal) within u^-1 M: the quadratic scan.  It is
-    a Pareto test on the sorted-prefix rows, with the parity keys of D
-    factors alongside, run on the (base element, row) pairs in chunks
-    that hold at most `_SCAN_BUDGET` entries, `_scan_cost` per row:
-    several whole base elements at once when their m rows fit, so all of
-    M is translated for them in one pass, else one base element in chunks
-    of rows."""
-    n = M.group.window_length
+    a Pareto test on the sorted prefixes, with the parity keys of D
+    factors alongside, each member's gathered from those of its prefix
+    sets; it runs on the (base element, row) pairs in chunks that hold at
+    most `_SCAN_BUDGET` entries, `_scan_cost` per row: several whole base
+    elements at once when their m rows fit, so M's prefix sets are
+    translated for them in one pass, else one base element in chunks of
+    rows."""
     m = len(M)
     below = np.less_equal if side == "min" else np.greater_equal
     step = max(1, _SCAN_BUDGET // _scan_cost(M))
@@ -415,17 +410,16 @@ def _extremal_elements(
     out = []
     for lo in range(0, len(us), per):
         to_rank = _letter_lookups(M.group, [u.window for u in us[lo : lo + per]])
-        ranks = to_rank[np.arange(len(to_rank))[:, None, None], n + M.windows_array]
-        cols = np.ascontiguousarray(np.moveaxis(_sorted_prefix_rows(M.group, ranks), -1, 0))
-        key_cols = [
-            col
-            for off, f in M.group.segments()
-            if f.type is WeylType.D
-            for col in np.ascontiguousarray(
-                np.moveaxis(_parity_keys(f.rank, ranks[..., off : off + f.rank - 1]), -1, 0)
-            )
-        ]
-        keep = np.empty(ranks.shape[:2], dtype=bool)
+        heads, parity = [], []
+        for (off, f), levels, ids in zip(M.group.segments(), M.prefix_sets, M.prefix_ids):
+            heads.extend(sets[:, at] for sets, at in zip(_translated_sets(levels, to_rank), ids))
+            if f.type is WeylType.D:
+                per_set = _set_parity_keys(f.rank, off, levels, to_rank)
+                parity.extend(keys[at] for keys, at in zip(per_set, ids))
+        # one C-contiguous b x m column per sorted-prefix entry and per key
+        cols = np.ascontiguousarray(np.moveaxis(np.concatenate(heads, axis=-1), -1, 0))
+        key_cols = np.ascontiguousarray(np.concatenate(parity, axis=-1).T) if parity else ()
+        keep = np.empty((len(to_rank), m), dtype=bool)
         for r0 in range(0, m, step):
             at = slice(r0, r0 + step)
             # meets[b, c, j]: at base element b, translate j lies below

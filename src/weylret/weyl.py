@@ -16,10 +16,10 @@ test suite pins against breadth-first word length over these generators.
 Bruhat order uses two algorithms, neither with a cache: on A and BC, the
 sorted-prefix test on letter ranks in the order above; on D, a chain of
 lifting-property steps along right descents.  The order route of
-`retraction` compares whole arrays instead: the sorted-prefix rows on
-every type, plus on D an integer parity criterion on prefixes
-(`retraction._parity_keys`); `_bruhat_leq_d` is the scalar reference that
-criterion is tested against.
+`retraction` compares whole arrays instead: the sorted prefixes on every
+type, plus on D an integer parity criterion on prefixes
+(`retraction._set_parity_keys`); `_bruhat_leq_d` is the scalar reference
+that criterion is tested against.
 
 `root_set` gives the roots a chamber sees negative as one integer
 bitmask, so word distances are popcounts of an XOR; the fan and the

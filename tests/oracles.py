@@ -7,8 +7,10 @@ planar hulls from sympy's geometry module, the chambers and cone normals
 of a fan from scans over the whole group and every root, the Pluecker
 support from one determinant per minor, hull edges from the primal
 edge LP, of which the library solves the Farkas dual, the torus fixed
-points from a test of every permutation, and the canonical sort key from
-`order_key` on each factor's local window.
+points from a test of every permutation, the canonical sort key from
+`order_key` on each factor's local window, and the Bruhat rows and type-D
+parity keys of the order route from each translate's own ranks rather
+than from the distinct prefix sets the library translates.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
 from sympy import Rational as SymRational
 from sympy.geometry import Point2D, Polygon, Segment2D, convex_hull
 
 from weylret.exact import Membership, RationalMatrix, cone_membership, lp_feasible
 from weylret.fan import chamber_cone
 from weylret.orbit import PluckerSupport
+from weylret.retraction import _parity_table
 from weylret.weyl import (
     GroupDescriptor,
     SignedPermutation,
@@ -192,3 +196,28 @@ def canonical_key_by_factors(w: SignedPermutation) -> tuple[int, ...]:
     for f, loc in zip(w.group.factors, w.local_windows()):
         out.extend(order_key(v, f.rank) for v in loc)
     return tuple(out)
+
+
+def sorted_prefix_rows(group: GroupDescriptor, ranks: np.ndarray) -> np.ndarray:
+    """One row per translate, whose ranks lie along the last axis of
+    `ranks`: the sorted rank prefixes k = 1..r of every factor,
+    concatenated.  On A and BC factors, w <= v in Bruhat order iff
+    row w <= row v entrywise; on D factors this is condition (i) of the
+    order, and `parity_keys` gives condition (ii)."""
+    cols = []
+    for off, f in group.segments():
+        for k in range(1, f.rank + 1):
+            cols.append(np.sort(ranks[..., off : off + k], axis=-1))
+    return np.concatenate(cols, axis=-1)
+
+
+def parity_keys(r: int, ranks: np.ndarray) -> np.ndarray:
+    """The keys of condition (ii) of Bruhat order on D_r
+    (`retraction._set_parity_keys`), one row per row of `ranks`, whose last
+    axis holds the ranks of the first r - 1 letters of one translate: the
+    running sums of its letters' parity-table rows, levels k = 1..r-1 one
+    after another."""
+    table, full, kept = _parity_table(r)
+    high, low_bars, high_bars = np.moveaxis(table[ranks].cumsum(axis=-3), -2, 0)
+    keys = np.where(high == full, 2 * low_bars + (high_bars & 1), -1)
+    return keys[..., kept]

@@ -345,8 +345,7 @@ def test_criterion_11_oracle_suites(s3):
             M = SubsetM(s3, combo)
             pts3, _ = orbit_points(M)
             pts2 = drop_last(pts3)
-            _, pkg_edges = hull_edges(pts2)
-            pkg = {frozenset(e) for e in pkg_edges}
+            pkg = {frozenset(e) for e in hull_edges(pts2).edges}
             sym = hull_edges_2d(pts2)
             for i, j in itertools.combinations(range(len(pts2)), 2):
                 edge_checks += 1

@@ -220,6 +220,18 @@ def test_matroid_check_and_polytope(capsys):
     assert offending == {frozenset({(1, 3, 2), (2, 1, 3)})}
 
 
+def test_matroid_polytope_takes_no_side(capsys):
+    # the polytope route has no side, so --side is an unknown option there
+    subset = "[[1,3,2],[2,1,3]]"
+    for side in ("min", "max"):
+        code, data = run(
+            capsys, "matroid", "polytope", "--group", "A2", "--subset", subset, "--side", side
+        )
+        assert code == 3 and data is None
+    code, _ = run(capsys, "matroid", "check", "--group", "A2", "--subset", subset, "--side", "max")
+    assert code == 0
+
+
 def test_matroid_polytope_in_rank_4_matches_matroid_check(capsys):
     # an orbit of intrinsic dimension 4: the identity and its four
     # adjacent transpositions

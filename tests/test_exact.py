@@ -240,7 +240,7 @@ def test_canonical_subspace_is_basis_invariant():
 
 
 def quadrant() -> HalfspaceCone:
-    return HalfspaceCone(normals=((1, 0), (0, 1)), equalities=(), dim=2)
+    return HalfspaceCone(normals=((1, 0), (0, 1)), equalities=())
 
 
 def test_cone_membership():
@@ -249,7 +249,7 @@ def test_cone_membership():
     assert cone_membership(cone, (0, 1)) is Membership.BOUNDARY
     assert cone_membership(cone, (0, 0)) is Membership.BOUNDARY
     assert cone_membership(cone, (-1, 1)) is Membership.OUTSIDE
-    flat = HalfspaceCone(normals=((1, 0),), equalities=((0, 1),), dim=2)
+    flat = HalfspaceCone(normals=((1, 0),), equalities=((0, 1),))
     assert cone_membership(flat, (2, 0)) is Membership.INTERIOR
     assert cone_membership(flat, (2, 1)) is Membership.OUTSIDE
     assert cone_membership(flat, (0, 0)) is Membership.BOUNDARY
@@ -383,16 +383,15 @@ def test_hull_edges_2d_vs_sympy():
         while len(pts) < rng.randint(3, 10):
             pts.add((rand_fraction(rng), rand_fraction(rng)))
         pts = sorted(pts)
-        verts, edges = hull_edges(pts)
-        got = {frozenset((pts[i], pts[j])) for i, j in edges}
+        got = {frozenset((pts[i], pts[j])) for i, j in hull_edges(pts).edges}
         assert got == hull_edges_2d(pts), pts
 
 
 def test_hull_edges_degenerate():
-    verts, edges = hull_edges([(0, 0), (2, 2), (1, 1)])
-    assert sorted(verts) == [0, 1] and edges == [(0, 1)]
-    verts, edges = hull_edges([(5, 7)])
-    assert verts == [0] and edges == []
+    hull = hull_edges([(0, 0), (2, 2), (1, 1)])
+    assert sorted(hull.vertices) == [0, 1] and hull.edges == [(0, 1)]
+    hull = hull_edges([(5, 7)])
+    assert hull.vertices == [0] and hull.edges == []
     with pytest.raises(ValueError):
         hull_edges([(0, 0), (0, 0)])
 
@@ -405,25 +404,25 @@ def test_hull_edges_duplicates_are_a_precondition_error():
 
 def test_hull_edges_square_with_center():
     pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]
-    verts, edges = hull_edges(pts)
-    assert sorted(verts) == [0, 1, 2, 3]
-    assert len(edges) == 4
-    assert all(4 not in e for e in edges)
+    hull = hull_edges(pts)
+    assert sorted(hull.vertices) == [0, 1, 2, 3]
+    assert len(hull.edges) == 4
+    assert all(4 not in e for e in hull.edges)
 
 
 def test_hull_edges_permutohedron():
     # S4 orbit of an increasing point: 24 vertices, 36 edges, cubic graph
     perms = list(itertools.permutations((0, 1, 2, 3)))
-    verts, edges = hull_edges(perms)
-    assert len(verts) == 24
-    assert len(edges) == 36
+    hull = hull_edges(perms)
+    assert len(hull.vertices) == 24
+    assert len(hull.edges) == 36
     degree = {i: 0 for i in range(24)}
-    for i, j in edges:
+    for i, j in hull.edges:
         degree[i] += 1
         degree[j] += 1
     assert set(degree.values()) == {3}
     # every edge differs by a transposition of adjacent values
-    for i, j in edges:
+    for i, j in hull.edges:
         diff = [a - b for a, b in zip(perms[i], perms[j])]
         nonzero = sorted(v for v in diff if v != 0)
         assert len(nonzero) == 2 and nonzero[0] == -nonzero[1]
@@ -433,9 +432,9 @@ def test_hull_edges_4_simplex():
     pts = [tuple(int(i == j) for j in range(4)) for i in range(4)] + [
         (0, 0, 0, 0)
     ]
-    verts, edges = hull_edges(pts)
-    assert verts == [0, 1, 2, 3, 4]
-    assert edges == list(itertools.combinations(range(5), 2))
+    hull = hull_edges(pts)
+    assert hull.vertices == [0, 1, 2, 3, 4]
+    assert hull.edges == list(itertools.combinations(range(5), 2))
 
 
 def test_hull_edges_reads_ints_fractions_and_strings_alike():
@@ -548,8 +547,7 @@ def test_lp_edge_feasible_matches_hull_2d():
                 pts.clear()
             pts.add((rand_fraction(rng), rand_fraction(rng)))
         pts = sorted(pts)
-        _, edges = hull_edges(pts)
-        edge_set = {frozenset(e) for e in edges}
+        edge_set = {frozenset(e) for e in hull_edges(pts).edges}
         for i, j in itertools.combinations(range(len(pts)), 2):
             assert lp_edge_feasible(pts, i, j) == (
                 frozenset((i, j)) in edge_set
@@ -622,8 +620,7 @@ def test_lp_edge_feasible_refuses_bad_pairs_and_ragged_points(points, i, j):
 
 def test_lp_edge_feasible_permutohedron_spots():
     perms = list(itertools.permutations((0, 1, 2, 3)))
-    _, edges = hull_edges(perms)
-    edge_set = {frozenset(e) for e in edges}
+    edge_set = {frozenset(e) for e in hull_edges(perms).edges}
     rng = random.Random(9)
     pairs = rng.sample(list(itertools.combinations(range(24), 2)), 40)
     for i, j in set(pairs) | set(map(tuple, map(sorted, edge_set))):

@@ -348,8 +348,7 @@ def test_lp_edge_feasible_equals_hull_edges_on_orbits(M):
     # phi_polytope_check runs this on every pair only up to
     # LP_CROSSCHECK_LIMIT points; here it runs on up to 12
     points, _ = orbit_points(M)
-    _, edges = hull_edges(points)
-    edge_set = set(edges)
+    edge_set = set(hull_edges(points).edges)
     for i, j in itertools.combinations(range(len(points)), 2):
         assert lp_edge_feasible(points, i, j) == ((i, j) in edge_set), (M, i, j)
 
@@ -414,6 +413,8 @@ def test_gs_rank4_suite_small():
 def test_phi_vertex_invariant_raises_under_optimize():
     script = textwrap.dedent(
         """
+        from dataclasses import replace
+
         import weylret.matroid as m
         from weylret.retraction import SubsetM
         from weylret.weyl import GroupDescriptor, WeylType, elements
@@ -421,9 +422,10 @@ def test_phi_vertex_invariant_raises_under_optimize():
         real = m.hull_edges
 
         def drop_first_vertex(points):
-            verts, edges = real(points)
-            gone = verts[0]
-            return verts[1:], [e for e in edges if gone not in e]
+            hull = real(points)
+            gone = hull.vertices[0]
+            edges = [e for e in hull.edges if gone not in e]
+            return replace(hull, vertices=hull.vertices[1:], edges=edges)
 
         m.hull_edges = drop_first_vertex
         s4 = GroupDescriptor.simple(WeylType.A, 4)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_key_by_factors, covering_closure, oracle_leq
+from oracles import (
+    canonical_key_by_factors,
+    covering_closure,
+    oracle_leq,
+    parity_keys,
+    sorted_prefix_rows,
+)
 from weylret import retraction
 from weylret.errors import DescriptorMismatch, NotAMatroidAt, NotAProduct, ParseError
 from weylret.exact import RationalMatrix
@@ -621,11 +627,11 @@ def _order_matrix(group, windows, parity=True):
     n = group.window_length
     to_rank = retraction._letter_lookups(group, [group.identity().window])
     ranks = to_rank[0, n + np.array(windows, dtype=np.int64)]
-    rows = retraction._sorted_prefix_rows(group, ranks)
+    rows = sorted_prefix_rows(group, ranks)
     leq = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
     for off, f in group.segments():
         if parity and f.type is _D:
-            keys = retraction._parity_keys(f.rank, ranks[:, off : off + f.rank - 1])
+            keys = parity_keys(f.rank, ranks[:, off : off + f.rank - 1])
             leq &= ((keys[:, None, :] ^ keys[None, :, :]) != 1).all(axis=2)
     return leq
 
@@ -664,16 +670,38 @@ def test_set_parity_keys_equal_each_members_keys(M):
     r = f.rank
     assert f.type is _D
     per_set = list(retraction._set_parity_keys(r, off, levels, to_rank))
-    per_member = retraction._parity_keys(r, to_rank[:, n + M.windows_array[:, off : off + r - 1]])
+    windows = np.array([w.window for w in M], dtype=np.int64)
+    per_member = parity_keys(r, to_rank[:, n + windows[:, off : off + r - 1]])
     assert len(per_set) == r - 1
     for k, keys in enumerate(per_set, start=1):
         assert keys.shape == (len(levels[k - 1]), len(to_rank), k)
         row = {tuple(s): i for i, s in enumerate(levels[k - 1].tolist())}
-        for j, w in enumerate(M.windows_array.tolist()):
+        for j, w in enumerate(windows.tolist()):
             theirs = per_member[:, j, k * (k - 1) // 2 : k * (k + 1) // 2]
             assert (keys[row[tuple(sorted(w[off : off + k]))]] == theirs).all()
     # some key is full, so the comparison saw more than -1
     assert any((keys >= 0).any() for keys in per_set)
+
+
+@pytest.mark.parametrize("group", [
+    GroupDescriptor.simple(_A, 4),
+    GroupDescriptor.simple(_BC, 3),
+    GroupDescriptor.simple(_D, 4),
+    GroupDescriptor((Factor(_A, 2), Factor(_D, 3), Factor(_BC, 2))),
+], ids=str)
+def test_prefix_ids_name_each_members_head(group):
+    rng = random.Random(19)
+    pool = elements(group)
+    for size in (1, 7, 40):
+        M = SubsetM(group, tuple(rng.sample(pool, min(size, len(pool)))))
+        for (off, f), levels, ids in zip(group.segments(), M.prefix_sets, M.prefix_ids):
+            assert len(levels) == len(ids) == f.rank
+            for k, (sets, at) in enumerate(zip(levels, ids), start=1):
+                assert at.shape == (len(M),)
+                heads = [tuple(sorted(w.window[off : off + k])) for w in M]
+                assert [tuple(sets[i]) for i in at.tolist()] == heads
+                # every set is some member's head, once
+                assert sorted(set(heads)) == [tuple(row) for row in sets.tolist()]
 
 
 def test_d_order_needs_the_parity_condition():
