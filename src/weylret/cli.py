@@ -64,15 +64,18 @@ def _count(value: str) -> int:
 
 
 def _load_text(value: str) -> str:
-    if value == "-":
-        return sys.stdin.read()
-    if value.startswith("@"):
-        try:
-            with open(value[1:], "r", encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {value[1:]}: {exc}") from exc
-    return value
+    """The text of an argument: itself, or read from stdin (``-``) or a
+    file (``@path``), which must be UTF-8."""
+    if value != "-" and not value.startswith("@"):
+        return value
+    try:
+        if value == "-":
+            return sys.stdin.read()
+        with open(value[1:], "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "stdin" if value == "-" else value[1:]
+        raise ParseError(f"cannot read {source}: {exc}") from exc
 
 
 def _json_value(value: str):
@@ -80,6 +83,8 @@ def _json_value(value: str):
         return json.loads(_load_text(value))
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("bad JSON: nested too deeply") from exc
 
 
 def parse_group(text: str) -> GroupDescriptor:
@@ -95,7 +100,7 @@ def parse_group(text: str) -> GroupDescriptor:
                 break
         else:
             raise ParseError(f"bad group token {token!r}")
-        if not digits.isdigit():
+        if not (digits.isascii() and digits.isdigit()):
             raise ParseError(f"bad group token {token!r}")
         lie_rank = int(digits)
         window = lie_rank + 1 if wtype is WeylType.A else lie_rank

@@ -243,10 +243,9 @@ class Membership(Enum):
 
 @dataclass(frozen=True)
 class HalfspaceCone:
-    """{x : <n, x> >= 0 for n in normals, <e, x> = 0 for e in equalities}."""
+    """{x : <n, x> >= 0 for n in normals}."""
 
     normals: tuple[tuple[int, ...], ...]
-    equalities: tuple[tuple[int, ...], ...] = ()
 
 
 def _dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
@@ -255,10 +254,7 @@ def _dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
 
 def cone_membership(cone: HalfspaceCone, point: Sequence[Rat]) -> Membership:
     """Relative position of a point: interior means every inequality is
-    strict (equalities never demote interiority)."""
-    for e in cone.equalities:
-        if _dot(e, point) != 0:
-            return Membership.OUTSIDE
+    strict."""
     tight = False
     for n in cone.normals:
         s = _dot(n, point)

@@ -11,10 +11,8 @@ bits of their intersection, in `all_roots()` order.  For tables coming from
 retractions the member union is convex and the cone reproduces it
 exactly.
 
-A query never scans the group: it walks from the identity chamber across
-walls that have the point on their far side, at most l(w0) steps, and then
-collects the star of the walls through the point, the chambers reached
-across walls that contain it.
+A query never scans the group: `weyl.closed_chambers` walks from the
+identity chamber across walls to the chambers that hold the point.
 
 Lineality is reported modulo the always-present translation directions of
 type A blocks (the per-block constant vectors), so "strongly convex" means
@@ -29,7 +27,6 @@ are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .errors import AmbiguousBoundary, InconsistentLineality, PreconditionError
@@ -48,8 +45,7 @@ from .weyl import (
     WeylType,
     _sparse_roots,
     act_on_vector,
-    compose,
-    order_key,
+    closed_chambers,
     root_set,
 )
 
@@ -98,17 +94,6 @@ class Fan:
     table: RetractionTable
     cones: tuple[FanCone, ...]
     lineality: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def _walls(self) -> tuple[tuple, tuple[SignedPermutation, ...]]:
-        """For each simple root alpha_k, the nonzero entries (i, c) of
-        -alpha_k and the simple reflection s_k: what `query` walks with,
-        built on the first query of this fan."""
-        group = self.table.group
-        walls = tuple(
-            tuple((i, c) for i, c in enumerate(neg) if c) for neg in _negated_simples(group)
-        )
-        return walls, group.simple_reflections()
 
     def cone_for(self, target: SignedPermutation) -> FanCone:
         for c in self.cones:
@@ -179,26 +164,6 @@ class QueryResult:
     chambers: tuple[SignedPermutation, ...]
 
 
-def _wall_dots(
-    u: SignedPermutation,
-    walls: Sequence[Sequence[tuple[int, int]]],
-    point: Sequence[int],
-) -> list[int]:
-    """<u(-alpha_k), point> for each simple root alpha_k, in order, with
-    walls[k] the nonzero entries (i, c) of -alpha_k: the point lies in the
-    closed chamber of u iff none is negative, and a zero puts it on the
-    wall that chamber shares with the chamber of u s_k.  Computed as
-    <-alpha_k, u^-1 point>, since u is orthogonal."""
-    pulled = [point[v - 1] if v > 0 else -point[-v - 1] for v in u.window]
-    dots = []
-    for wall in walls:
-        d = 0
-        for i, c in wall:
-            d += c * pulled[i]
-        dots.append(d)
-    return dots
-
-
 def query(fan: Fan, lam: Sequence[Rat]) -> QueryResult:
     """Locate a point: the common image of every closed chamber containing
     it, graded interior/boundary against that image's cone.  A point whose
@@ -208,41 +173,13 @@ def query(fan: Fan, lam: Sequence[Rat]) -> QueryResult:
     The point is first scaled to integers by the lcm of its denominators.
     The scaling is positive, so every sign test, and with it the chambers,
     the target and the grade, comes out as for the point itself, while the
-    tests run on integers.
-
-    One chamber holding the point is found by walking from the identity:
-    while a wall of the chamber of u has the point strictly on its far
-    side, step across it to u s_k.  Each step crosses one of the root
-    hyperplanes that separate the chamber from the point, so the walk ends
-    within l(w0) steps.  The chambers holding the point are then the star
-    of the walls through it: those reached from there across walls that
-    contain the point (the coset u W_J of its stabilizer).  They are
-    returned in enumeration order."""
+    tests run on integers.  The chambers are those of
+    `weyl.closed_chambers`, in enumeration order."""
     group = fan.table.group
     if len(lam) != group.ambient_dim:
         raise PreconditionError(f"point length {len(lam)} != {group.ambient_dim}")
     point = clear_denominators(lam)
-    walls, simples = fan._walls
-    u = group.identity()
-    dots = _wall_dots(u, walls, point)
-    while (k := next((k for k, d in enumerate(dots) if d < 0), None)) is not None:
-        u = compose(u, simples[k])
-        dots = _wall_dots(u, walls, point)
-    star = {u.window: u}
-    frontier = [(u, dots)]
-    while frontier:
-        v, dots = frontier.pop()
-        for k, d in enumerate(dots):
-            if d == 0:
-                w = compose(v, simples[k])
-                if w.window not in star:
-                    star[w.window] = w
-                    frontier.append((w, _wall_dots(w, walls, point)))
-    # enumeration order compares windows letter by letter in
-    # 1 < ... < n < nbar < ... < 1bar, and order_key at the full window
-    # length keeps that order among the letters of each factor
-    n = len(u.window)
-    hit = sorted(star.values(), key=lambda w: [order_key(v, n) for v in w.window])
+    hit = closed_chambers(point, group)
     images = {fan.table.retract(c).window for c in hit}
     if len(images) > 1:
         shown = sorted(list(w) for w in images)
@@ -254,25 +191,4 @@ def query(fan: Fan, lam: Sequence[Rat]) -> QueryResult:
             f"point {list(lam)} lies outside the cone of its own target"
             f" {list(target.window)}"
         )
-    return QueryResult(target=target, grade=grade, chambers=tuple(hit))
-
-
-def members_connected(cone: FanCone) -> bool:
-    """Whether the member chambers form a connected wall-adjacency graph
-    (adjacent chambers differ by one simple reflection on the right)."""
-    members = {u.window for u in cone.members}
-    if not members:
-        return True
-    group = cone.target.group
-    simples = group.simple_reflections()
-    start = next(iter(members))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cur = group.element(frontier.pop())
-        for s in simples:
-            nxt = (cur * s).window
-            if nxt in members and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen == members
+    return QueryResult(target=target, grade=grade, chambers=hit)

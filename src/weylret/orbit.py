@@ -31,7 +31,7 @@ from typing import Sequence
 from .errors import GiveUp, PreconditionError, SingularMatrix, TieDetected
 from .exact import Rat, RationalMatrix, clear_denominators
 from .retraction import RetractionTable, SubsetM
-from .weyl import GroupDescriptor, SignedPermutation, WeylType, elements
+from .weyl import GroupDescriptor, SignedPermutation, WeylType, act_on_vector, elements
 
 
 @lru_cache(maxsize=16)
@@ -168,11 +168,7 @@ def weight_for_chamber(u: SignedPermutation) -> tuple[int, ...]:
     subset sums are pairwise distinct, so limits taken at it never tie."""
     if len(u.group.factors) != 1 or u.group.factors[0].type is not WeylType.A:
         raise ValueError("weights are built for a single type A factor")
-    n = u.group.window_length
-    lam = [0] * n
-    for letter, weight in zip(u.window, _position_weights(n)):
-        lam[letter - 1] = weight
-    return tuple(lam)
+    return act_on_vector(u, _position_weights(u.group.window_length))
 
 
 def geometric_table(x: PluckerSupport | RationalMatrix) -> RetractionTable:

@@ -48,34 +48,15 @@ from .weyl import (
     GroupDescriptor,
     SignedPermutation,
     WeylType,
+    _canonical_key,
     elements,
     factor_extended_window,
-    order_key,
     root_set,
 )
 
 Trie = dict[int, "Trie"]
 # per factor, one array per level k = 1..rank
 PerLevel = tuple[tuple[np.ndarray, ...], ...]
-
-
-@lru_cache(maxsize=16)
-def _letter_keys(group: GroupDescriptor) -> dict[int, int]:
-    """Each window letter of the group -> `order_key` of its local letter
-    in its factor's chain 1 < ... < r < rbar < ... < 1bar.  Shared and
-    only read."""
-    keys = {}
-    for off, f in group.segments():
-        for i in range(1, f.rank + 1):
-            keys[off + i] = order_key(i, f.rank)
-            keys[-off - i] = order_key(-i, f.rank)
-    return keys
-
-
-def _canonical_key(w: SignedPermutation) -> tuple[int, ...]:
-    """The sort key of SubsetM and table targets: per factor, the local
-    letters' `order_key`s, concatenated."""
-    return tuple(map(_letter_keys(w.group).__getitem__, w.window))
 
 
 @dataclass(frozen=True)

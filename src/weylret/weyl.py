@@ -25,6 +25,11 @@ that criterion is tested against.
 bitmask, so word distances are popcounts of an XOR; the fan and the
 metric route of `retraction` both read it.
 
+`closed_chambers` finds the closed chambers that hold a point on every
+type by one walk across walls from the identity chamber, followed by the
+star of the walls through the point; `chamber_of` and `fan.query` both
+call it.
+
 A product group is stored as one concatenated window: the factor starting
 at offset t with rank r owns the letters t+1 .. t+r.
 """
@@ -459,6 +464,26 @@ def enumerate_group(
         )
 
 
+@lru_cache(maxsize=16)
+def _letter_keys(group: GroupDescriptor) -> dict[int, int]:
+    """Each window letter of the group -> `order_key` of its local letter
+    in its factor's chain 1 < ... < r < rbar < ... < 1bar.  Shared and
+    only read."""
+    keys = {}
+    for off, f in group.segments():
+        for i in range(1, f.rank + 1):
+            keys[off + i] = order_key(i, f.rank)
+            keys[-off - i] = order_key(-i, f.rank)
+    return keys
+
+
+def _canonical_key(w: SignedPermutation) -> tuple[int, ...]:
+    """The sort key of enumeration order: per factor, the local letters'
+    `order_key`s, concatenated.  `SubsetM`, table targets and
+    `closed_chambers` sort by it."""
+    return tuple(map(_letter_keys(w.group).__getitem__, w.window))
+
+
 @lru_cache(maxsize=64)
 def elements(descriptor: GroupDescriptor) -> tuple[SignedPermutation, ...]:
     """Cached tuple of all elements in enumeration order."""
@@ -500,57 +525,79 @@ def act_on_vector(u: SignedPermutation, nu: Sequence[Scalar]) -> tuple[Scalar, .
     return tuple(out)
 
 
-def _chamber_a(lam: Sequence[Scalar], r: int) -> tuple[int, ...]:
-    # interior of C(u): lam_{u(1)} < ... < lam_{u(r)}
-    order = sorted(range(1, r + 1), key=lambda i: lam[i - 1])
-    for a, b in itertools.pairwise(order):
-        if lam[a - 1] == lam[b - 1]:
-            raise BoundaryPoint(f"tied coordinates {a}, {b}")
-    return tuple(order)
+@lru_cache(maxsize=16)
+def _walls(group: GroupDescriptor) -> tuple[tuple, tuple[SignedPermutation, ...]]:
+    """For each simple root alpha_k, the nonzero entries (i, c) of
+    -alpha_k, and the simple reflections s_k: what `closed_chambers` walks
+    with, built once per group.  Shared and only read."""
+    walls = tuple(
+        tuple((i, -c) for i, c in enumerate(alpha) if c) for alpha in group.simple_roots()
+    )
+    return walls, group.simple_reflections()
 
 
-def _chamber_bc(lam: Sequence[Scalar], r: int) -> tuple[int, ...]:
-    # interior: lam_{u(1)} < ... < lam_{u(r)} < 0 with lam_{ibar} = -lam_i
-    for i in range(r):
-        if lam[i] == 0:
-            raise BoundaryPoint(f"coordinate {i + 1} vanishes")
-        for j in range(i + 1, r):
-            if abs(lam[i]) == abs(lam[j]):
-                raise BoundaryPoint(f"tied absolute values at {i + 1}, {j + 1}")
-    by_abs = sorted(range(1, r + 1), key=lambda i: abs(lam[i - 1]), reverse=True)
-    return tuple(i if lam[i - 1] < 0 else -i for i in by_abs)
+def _wall_dots(
+    u: SignedPermutation,
+    walls: Sequence[Sequence[tuple[int, int]]],
+    point: Sequence[Scalar],
+) -> list[Scalar]:
+    """<u(-alpha_k), point> for each simple root alpha_k, in order, with
+    walls[k] the nonzero entries (i, c) of -alpha_k: the point lies in the
+    closed chamber of u iff none is negative, and a zero puts it on the
+    wall that chamber shares with the chamber of u s_k.  Computed as
+    <-alpha_k, u^-1 point>, since u is orthogonal."""
+    pulled = [point[v - 1] if v > 0 else -point[-v - 1] for v in u.window]
+    dots = []
+    for wall in walls:
+        d = 0
+        for i, c in wall:
+            d += c * pulled[i]
+        dots.append(d)
+    return dots
 
 
-def _chamber_d(lam: Sequence[Scalar], r: int) -> tuple[int, ...]:
-    # interior: lam_{u(1)} < ... < lam_{u(r-1)} < lam_{u(r)} < -lam_{u(r-1)};
-    # the sign of the last letter is fixed by the even bar count.
-    for i in range(r):
-        for j in range(i + 1, r):
-            if abs(lam[i]) == abs(lam[j]):
-                raise BoundaryPoint(f"tied absolute values at {i + 1}, {j + 1}")
-    by_abs = sorted(range(1, r + 1), key=lambda i: abs(lam[i - 1]), reverse=True)
-    win = [i if lam[i - 1] < 0 else -i for i in by_abs[: r - 1]]
-    bars = sum(1 for v in win if v < 0)
-    last = by_abs[r - 1]
-    win.append(last if bars % 2 == 0 else -last)
-    return tuple(win)
+def closed_chambers(
+    point: Sequence[Scalar], group: GroupDescriptor
+) -> tuple[SignedPermutation, ...]:
+    """Every u whose closed chamber C(u) holds the point, in enumeration
+    order.  C(u) is where <u(-alpha), point> >= 0 for every simple root
+    alpha: on a type A block, lam_{u(1)} <= ... <= lam_{u(r)}.
+
+    One chamber holding the point is found by walking from the identity:
+    while a wall of the chamber of u has the point strictly on its far
+    side, step across it to u s_k.  Each step crosses one of the root
+    hyperplanes that separate the chamber from the point, so the walk ends
+    within l(w0) steps.  The chambers holding the point are then the star
+    of the walls through it: those reached from there across walls that
+    contain the point (the coset u W_J of its stabilizer)."""
+    if len(point) != group.ambient_dim:
+        raise ValueError(f"point length {len(point)} != {group.ambient_dim}")
+    walls, simples = _walls(group)
+    u = group.identity()
+    dots = _wall_dots(u, walls, point)
+    while (k := next((k for k, d in enumerate(dots) if d < 0), None)) is not None:
+        u = compose(u, simples[k])
+        dots = _wall_dots(u, walls, point)
+    star = {u.window: u}
+    frontier = [(u, dots)]
+    while frontier:
+        v, dots = frontier.pop()
+        for k, d in enumerate(dots):
+            if d == 0:
+                w = compose(v, simples[k])
+                if w.window not in star:
+                    star[w.window] = w
+                    frontier.append((w, _wall_dots(w, walls, point)))
+    return tuple(sorted(star.values(), key=_canonical_key))
 
 
 def chamber_of(lam: Sequence[Scalar], descriptor: GroupDescriptor) -> SignedPermutation:
-    """The u whose closed chamber C(u) contains lam in its interior."""
-    if len(lam) != descriptor.ambient_dim:
-        raise ValueError(f"point length {len(lam)} != {descriptor.ambient_dim}")
-    win: list[int] = []
-    for off, f in descriptor.segments():
-        part = lam[off : off + f.rank]
-        if f.type is WeylType.A:
-            loc = _chamber_a(part, f.rank)
-        elif f.type is WeylType.BC:
-            loc = _chamber_bc(part, f.rank)
-        else:
-            loc = _chamber_d(part, f.rank)
-        win.extend(_globalize(v, off) for v in loc)
-    return SignedPermutation._unchecked(descriptor, tuple(win))
+    """The u whose closed chamber C(u) contains lam in its interior; a
+    point on a wall raises `BoundaryPoint`."""
+    hit = closed_chambers(lam, descriptor)
+    if len(hit) > 1:
+        raise BoundaryPoint(f"point {list(lam)} lies on a wall of {len(hit)} chambers")
+    return hit[0]
 
 
 # --- Root data ------------------------------------------------------------

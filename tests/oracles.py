@@ -4,7 +4,8 @@ Each oracle recomputes a quantity along a route the library does not use:
 word lengths come from breadth-first search over the Cayley graph, the
 Bruhat order from the reflexive-transitive closure of covering relations,
 planar hulls from sympy's geometry module, the chambers and cone normals
-of a fan from scans over the whole group and every root, the Pluecker
+of a fan from scans over the whole group and every root, the connectivity
+of a fan cone's members from a search over wall adjacency, the Pluecker
 support from one determinant per minor, hull edges from the primal
 edge LP, of which the library solves the Farkas dual, the torus fixed
 points from a test of every permutation, the canonical sort key from
@@ -23,7 +24,7 @@ from sympy import Rational as SymRational
 from sympy.geometry import Point2D, Polygon, Segment2D, convex_hull
 
 from weylret.exact import Membership, RationalMatrix, cone_membership, lp_feasible
-from weylret.fan import chamber_cone
+from weylret.fan import FanCone, chamber_cone
 from weylret.orbit import PluckerSupport
 from weylret.retraction import _parity_table
 from weylret.weyl import (
@@ -97,6 +98,27 @@ def chambers_holding(group: GroupDescriptor, point) -> tuple[SignedPermutation, 
         for u in elements(group)
         if cone_membership(chamber_cone(u), point) is not Membership.OUTSIDE
     )
+
+
+def members_connected(cone: FanCone) -> bool:
+    """Whether the member chambers form a connected wall-adjacency graph
+    (adjacent chambers differ by one simple reflection on the right)."""
+    members = {u.window for u in cone.members}
+    if not members:
+        return True
+    group = cone.target.group
+    simples = group.simple_reflections()
+    start = next(iter(members))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        cur = group.element(frontier.pop())
+        for s in simples:
+            nxt = (cur * s).window
+            if nxt in members and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen == members
 
 
 def fiber_normals(

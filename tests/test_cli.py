@@ -298,7 +298,7 @@ def test_at_file_and_stdin(capsys, tmp_path, monkeypatch):
     assert from_file == from_stdin
 
 
-def test_parse_errors_exit_3(capsys):
+def test_parse_errors_exit_3(capsys, tmp_path, monkeypatch):
     code, _ = run(capsys, "fixed-points", "--matrix", "[[1,2],[3")
     assert code == 3
     code, _ = run(
@@ -331,6 +331,20 @@ def test_parse_errors_exit_3(capsys):
     ):
         code, _ = run(capsys, *argv)
         assert code == 3, argv
+    # a non-ASCII digit, JSON nested past the recursion limit and text
+    # that is not UTF-8, read from a file and from a strict stdin
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"[\xe9]")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"[\xe9]"), encoding="utf-8"))
+    for argv in (
+        ("retract", "--group", "A\u00b2", "--subset", "[[1,2,3]]", "--at", "[1,2,3]"),
+        ("limit", "--matrix", "[[1,0],[0,1]]", "--weight", "[" * 5000),
+        ("fixed-points", "--matrix", f"@{latin1}"),
+        ("fixed-points", "--matrix", "-"),
+    ):
+        code = main(list(argv))
+        assert code == 3, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 @pytest.mark.parametrize(
@@ -383,7 +397,7 @@ def test_verify_threads_option_is_gone(capsys):
 # --- fuzz -------------------------------------------------------------------
 
 # Rank <= 3 only, so no draw enumerates a large group; a few tokens are bad.
-_GROUPS = ("A1", "A2", "A3", "BC2", "BC3", "D3", "A1xBC2", "A1xA1", "E8", "BC1", "A2x", "{")
+_GROUPS = ("A1", "A2", "A3", "BC2", "BC3", "D3", "A1xBC2", "A1xA1", "E8", "BC1", "A2x", "{", "A\u00b2")
 
 _LETTERS = st.integers(-4, 4)
 _JSON = st.recursive(
@@ -399,7 +413,7 @@ _FRAGMENTS = st.one_of(
     st.integers(1, 4).flatmap(
         lambda n: st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n)
     ).map(json.dumps),
-    st.sampled_from(["[[1,2", "{}", "nan", "[1e400]"]),
+    st.sampled_from(["[[1,2", "{}", "nan", "[1e400]", "[" * 5000]),
 )
 # Per command: its options, the required ones first, and its --method choices.
 _COMMANDS = {

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import weylret.fan
-from oracles import chambers_holding, fiber_normals
+import weylret.weyl
+from oracles import chambers_holding, fiber_normals, members_connected
 from weylret.errors import AmbiguousBoundary, InconsistentLineality, PreconditionError
 from weylret.exact import Membership, RationalMatrix, canonical_subspace, cone_membership
 from weylret.fan import (
@@ -16,7 +17,6 @@ from weylret.fan import (
     _reduced_lineality,
     build_fan,
     chamber_cone,
-    members_connected,
     query,
 )
 from weylret.orbit import geometric_table, sample_rational_point
@@ -185,7 +185,7 @@ def test_query_invariant_under_positive_scaling(name, request):
 def test_query_tests_chambers_on_integers(fan1, monkeypatch):
     # both the walk's wall tests and the grade's cone test
     points = {"walls": [], "grade": []}
-    real_walls = weylret.fan._wall_dots
+    real_walls = weylret.weyl._wall_dots
     real_grade = weylret.fan.cone_membership
 
     def walls_spy(u, walls, point):
@@ -196,7 +196,7 @@ def test_query_tests_chambers_on_integers(fan1, monkeypatch):
         points["grade"].append(point)
         return real_grade(cone, point)
 
-    monkeypatch.setattr(weylret.fan, "_wall_dots", walls_spy)
+    monkeypatch.setattr(weylret.weyl, "_wall_dots", walls_spy)
     monkeypatch.setattr(weylret.fan, "cone_membership", grade_spy)
     res = query(fan1, (Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3)))
     assert res.target.window == (2, 1, 3)
@@ -209,13 +209,13 @@ def test_query_tests_at_most_a_walk_of_chambers(monkeypatch):
     bc4 = GroupDescriptor.simple(WeylType.BC, 4)
     fan = build_fan(retraction_table(SubsetM(bc4, elements(bc4))))
     tested = set()
-    real = weylret.fan._wall_dots
+    real = weylret.weyl._wall_dots
 
     def spy(u, walls, point):
         tested.add(u.window)
         return real(u, walls, point)
 
-    monkeypatch.setattr(weylret.fan, "_wall_dots", spy)
+    monkeypatch.setattr(weylret.weyl, "_wall_dots", spy)
     w0 = longest_element(bc4)
     bound = length(w0) + 1
     # x1 < x2 < x3 < x4 < 0 is interior to the chamber of the identity

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_lengths, covering_closure, oracle_leq
+from oracles import bfs_lengths, chambers_holding, covering_closure, oracle_leq
 from weylret.errors import (
     BoundaryPoint,
     DescriptorMismatch,
@@ -22,6 +22,7 @@ from weylret.weyl import (
     act_on_vector,
     bruhat_leq,
     chamber_of,
+    closed_chambers,
     compose,
     elements,
     enumerate_group,
@@ -385,6 +386,38 @@ def test_chamber_of_orbit_point_mixed_group():
     assert chamber_of(nu, g) == g.identity()
     for w in elements(g):
         assert chamber_of(act_on_vector(w, nu), g) == w
+
+
+# Lie ranks as on the command line: A3 acts on windows of length 4
+_WALK_GROUPS = {
+    "A3": GroupDescriptor.simple(WeylType.A, 4),
+    "BC3": GroupDescriptor.simple(WeylType.BC, 3),
+    "D4": GroupDescriptor.simple(WeylType.D, 4),
+    "A1xBC2": GroupDescriptor((Factor(WeylType.A, 2), Factor(WeylType.BC, 2))),
+}
+# small integers land on walls often; fractions test the walk off the lattice
+_WALK_COORDS = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3)
+
+
+@pytest.mark.parametrize("name", _WALK_GROUPS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_closed_chambers_match_the_chamber_scan(name, data):
+    group = _WALK_GROUPS[name]
+    dim = group.ambient_dim
+    lam = tuple(data.draw(st.lists(_WALK_COORDS, min_size=dim, max_size=dim)))
+    want = chambers_holding(group, lam)
+    assert closed_chambers(lam, group) == want
+    if len(want) == 1:
+        assert chamber_of(lam, group) == want[0]
+    else:
+        with pytest.raises(BoundaryPoint):
+            chamber_of(lam, group)
+
+
+def test_chamber_of_refuses_wrong_length(s3):
+    with pytest.raises(ValueError, match="point length"):
+        chamber_of((1, 2), s3)
 
 
 def test_is_negative_root_vector():
