@@ -25,10 +25,10 @@ that criterion is tested against.
 bitmask, so word distances are popcounts of an XOR; the fan and the
 metric route of `retraction` both read it.
 
-`closed_chambers` finds the closed chambers that hold a point on every
-type by one walk across walls from the identity chamber, followed by the
-star of the walls through the point; `chamber_of` and `fan.query` both
-call it.
+`_walk` finds a closed chamber that holds a point, on every type, by
+walking across walls from the identity chamber.  `chamber_of` takes the
+chamber it reaches, and `closed_chambers`, which `fan.query` calls, adds
+the star of the walls through the point.
 
 A product group is stored as one concatenated window: the factor starting
 at offset t with rank r owns the letters t+1 .. t+r.
@@ -556,20 +556,17 @@ def _wall_dots(
     return dots
 
 
-def closed_chambers(
+def _walk(
     point: Sequence[Scalar], group: GroupDescriptor
-) -> tuple[SignedPermutation, ...]:
-    """Every u whose closed chamber C(u) holds the point, in enumeration
-    order.  C(u) is where <u(-alpha), point> >= 0 for every simple root
-    alpha: on a type A block, lam_{u(1)} <= ... <= lam_{u(r)}.
+) -> tuple[SignedPermutation, list[Scalar]]:
+    """A u whose closed chamber C(u) holds the point, and its `_wall_dots`.
+    C(u) is where <u(-alpha), point> >= 0 for every simple root alpha: on
+    a type A block, lam_{u(1)} <= ... <= lam_{u(r)}.
 
-    One chamber holding the point is found by walking from the identity:
-    while a wall of the chamber of u has the point strictly on its far
-    side, step across it to u s_k.  Each step crosses one of the root
-    hyperplanes that separate the chamber from the point, so the walk ends
-    within l(w0) steps.  The chambers holding the point are then the star
-    of the walls through it: those reached from there across walls that
-    contain the point (the coset u W_J of its stabilizer)."""
+    The walk starts at the identity: while a wall of the chamber of u has
+    the point strictly on its far side, it steps across it to u s_k.  Each
+    step crosses one of the root hyperplanes that separate the chamber
+    from the point, so the walk ends within l(w0) steps."""
     if len(point) != group.ambient_dim:
         raise ValueError(f"point length {len(point)} != {group.ambient_dim}")
     walls, simples = _walls(group)
@@ -578,6 +575,18 @@ def closed_chambers(
     while (k := next((k for k, d in enumerate(dots) if d < 0), None)) is not None:
         u = compose(u, simples[k])
         dots = _wall_dots(u, walls, point)
+    return u, dots
+
+
+def closed_chambers(
+    point: Sequence[Scalar], group: GroupDescriptor
+) -> tuple[SignedPermutation, ...]:
+    """Every u whose closed chamber holds the point, in enumeration order:
+    the star of the walls through the point around the chamber that
+    `_walk` reaches, that is the chambers reached from it across walls
+    that contain the point (the coset u W_J of its stabilizer)."""
+    u, dots = _walk(point, group)
+    walls, simples = _walls(group)
     star = {u.window: u}
     frontier = [(u, dots)]
     while frontier:
@@ -592,12 +601,13 @@ def closed_chambers(
 
 
 def chamber_of(lam: Sequence[Scalar], descriptor: GroupDescriptor) -> SignedPermutation:
-    """The u whose closed chamber C(u) contains lam in its interior; a
-    point on a wall raises `BoundaryPoint`."""
-    hit = closed_chambers(lam, descriptor)
-    if len(hit) > 1:
-        raise BoundaryPoint(f"point {list(lam)} lies on a wall of {len(hit)} chambers")
-    return hit[0]
+    """The u whose closed chamber C(u) contains lam in its interior.  A
+    point on a wall of that chamber also lies in the chamber across it,
+    and raises `BoundaryPoint` without collecting the rest of the star."""
+    u, dots = _walk(lam, descriptor)
+    if 0 in dots:
+        raise BoundaryPoint(f"point {list(lam)} lies on a wall of the chamber of {list(u.window)}")
+    return u
 
 
 # --- Root data ------------------------------------------------------------
