@@ -528,8 +528,9 @@ def act_on_vector(u: SignedPermutation, nu: Sequence[Scalar]) -> tuple[Scalar, .
 @lru_cache(maxsize=16)
 def _walls(group: GroupDescriptor) -> tuple[tuple, tuple[SignedPermutation, ...]]:
     """For each simple root alpha_k, the nonzero entries (i, c) of
-    -alpha_k, and the simple reflections s_k: what `closed_chambers` walks
-    with, built once per group.  Shared and only read."""
+    -alpha_k, and the simple reflections s_k: what `_walk` and
+    `closed_chambers` step with, built once per group.  Shared and only
+    read."""
     walls = tuple(
         tuple((i, -c) for i, c in enumerate(alpha) if c) for alpha in group.simple_roots()
     )
@@ -606,7 +607,9 @@ def chamber_of(lam: Sequence[Scalar], descriptor: GroupDescriptor) -> SignedPerm
     and raises `BoundaryPoint` without collecting the rest of the star."""
     u, dots = _walk(lam, descriptor)
     if 0 in dots:
-        raise BoundaryPoint(f"point {list(lam)} lies on a wall of the chamber of {list(u.window)}")
+        raise BoundaryPoint(
+            f"point {list(lam)} lies on a wall of the chamber of {list(u.window)}"
+        )
     return u
 
 

@@ -397,7 +397,9 @@ def test_verify_threads_option_is_gone(capsys):
 # --- fuzz -------------------------------------------------------------------
 
 # Rank <= 3 only, so no draw enumerates a large group; a few tokens are bad.
-_GROUPS = ("A1", "A2", "A3", "BC2", "BC3", "D3", "A1xBC2", "A1xA1", "E8", "BC1", "A2x", "{", "A\u00b2")
+_GROUPS = (
+    "A1", "A2", "A3", "BC2", "BC3", "D3", "A1xBC2", "A1xA1", "E8", "BC1", "A2x", "{", "A\u00b2",
+)
 
 _LETTERS = st.integers(-4, 4)
 _JSON = st.recursive(
