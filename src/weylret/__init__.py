@@ -19,7 +19,6 @@ from .errors import (
 )
 from .exact import (
     Facet,
-    HalfspaceCone,
     Hull,
     Membership,
     RationalMatrix,
@@ -28,11 +27,10 @@ from .exact import (
     format_rational,
     hull_edges,
     lp_edge_feasible,
-    lp_feasible,
     nullspace_basis,
     parse_rational,
 )
-from .fan import Fan, FanCone, QueryResult, build_fan, chamber_cone, query
+from .fan import Fan, FanCone, QueryResult, build_fan, query
 from .matroid import (
     MatroidVerdict,
     PhiReport,

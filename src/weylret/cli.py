@@ -163,9 +163,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, separators=(", ", ": ")))
 
 
-METHODS = ("greedy", "order", "closest", "limit")
-
-
 def _subset_from_args(args) -> SubsetM:
     if getattr(args, "matrix", None):
         return fixed_points(parse_matrix(args.matrix))
@@ -182,13 +179,10 @@ def _table_from_args(args):
         if not getattr(args, "matrix", None):
             raise ParseError("method 'limit' needs --matrix")
         return geometric_table(parse_matrix(args.matrix))
-    lib_method = {"greedy": "algebraic", "order": "matroid"}.get(method)
-    if lib_method is None:
-        raise ParseError("tables support methods greedy, order, limit")
     if args.side != "min":
         raise PreconditionError("a table fixes its targets, which needs --side min")
     M = _subset_from_args(args)
-    return retraction_table(M, method=lib_method)
+    return retraction_table(M, method={"greedy": "algebraic", "order": "matroid"}[method])
 
 
 def cmd_retract(args) -> int:
@@ -203,12 +197,8 @@ def cmd_retract(args) -> int:
             "distance": dist,
         })
         return 0
-    if args.method == "greedy":
-        v = algebraic_retract(M, u, side=args.side)
-    elif args.method == "order":
-        v = matroid_retract(M, u, side=args.side)
-    else:
-        raise ParseError("retract supports methods greedy, order, closest")
+    retract = algebraic_retract if args.method == "greedy" else matroid_retract
+    v = retract(M, u, side=args.side)
     _emit({"method": args.method, "at": list(u.window), "retract": list(v.window)})
     return 0
 
@@ -374,11 +364,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="weylret", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_subset_options(p, with_method=True, methods=METHODS, with_side=True):
+    def add_subset_options(p, methods=(), with_side=True):
         p.add_argument("--group", help="group shorthand like A2, BC2, A2xA1, or JSON")
         p.add_argument("--subset", help="JSON list of windows")
         p.add_argument("--matrix", help="JSON matrix; its fixed points become the subset")
-        if with_method:
+        if methods:
             p.add_argument("--method", choices=methods, default="greedy")
         if with_side:
             p.add_argument("--side", choices=("min", "max"), default="min")
@@ -413,10 +403,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("matroid", help="matroid-property checks")
     msub = p.add_subparsers(dest="subcommand", required=True)
     q = msub.add_parser("check", help="unique-extremum route")
-    add_subset_options(q, with_method=False)
+    add_subset_options(q)
     q.set_defaults(fn=cmd_matroid_check)
     q = msub.add_parser("polytope", help="root-parallel-edge route")
-    add_subset_options(q, with_method=False, with_side=False)
+    add_subset_options(q, with_side=False)
     q.set_defaults(fn=cmd_matroid_polytope)
     q = msub.add_parser("scan", help="random search for disagreement between routes")
     q.add_argument("--group", required=True)

@@ -2,20 +2,20 @@
 
 Everything here computes over Fraction (or plain int) with no floating
 point anywhere, and the heavy loops run on integers: determinants by
-fraction-free Bareiss elimination; null spaces, ranks and canonical
-subspaces from one fraction-free Gauss-Jordan elimination on rows cleared
-of denominators; cone membership by sign tests; LP feasibility by a
-phase-1 simplex with Bland's rule that pivots on integers (each constraint
-row is cleared of denominators first, and every division in a pivot is
-exact) on a tableau that holds no artificial columns; and convex hulls in
-any dimension by integer double description, its start rays null spaces
-from that same elimination, after projecting to an integral coordinate
-chart of the affine hull.  Each facet carries the bitmask of the points
-on it; vertices and edges are read off those masks, and an edge is
-certified by the sum of the normals of its facets.  The edge LP, which
-cross-checks the hull, is solved as its Farkas dual: a convex combination
-of the other points on the line through the pair, d+1 rows over one
-column per point.
+fraction-free Bareiss elimination; null spaces and pivot columns from one
+fraction-free Gauss-Jordan elimination on rows cleared of denominators;
+cone membership by sign tests; LP feasibility by a phase-1 simplex with
+Bland's rule that pivots on integers (every division in a pivot is exact)
+on a tableau that holds no artificial columns; and convex hulls in any
+dimension by integer double description.  The hull's integral coordinate
+chart of the affine hull, its affinely independent start points and its
+start rays all come from that same elimination: the chart and the start
+are its pivot columns, the rays its null spaces.  Each facet carries the
+bitmask of the points on it; vertices and edges are read off those masks,
+and an edge is certified by the sum of the normals of its facets.  The
+edge LP, which cross-checks the hull, is solved as its Farkas dual: a
+convex combination of the other points on the line through the pair, d+1
+rows over one column per point.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import and_
 from typing import NamedTuple, Sequence
 
@@ -135,26 +135,8 @@ class RationalMatrix:
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        denom = 1
-        cleared = []
-        for row in self.rows:
-            d = lcm(*(v.denominator for v in row)) if row else 1
-            denom *= d
-            cleared.append([int(v * d) for v in row])
-        return Fraction(_bareiss_det(cleared), denom)
-
-    def minor(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> Fraction:
-        """Determinant of the submatrix on 1-based row and column indices."""
-        sub = RationalMatrix(
-            tuple(
-                tuple(self.rows[i - 1][j - 1] for j in col_indices)
-                for i in row_indices
-            )
-        )
-        return sub.det()
-
-    def rank(self) -> int:
-        return len(_row_reduce(self.rows, self.ncols)[1])
+        cleared = [_cleared(row) for row in self.rows]
+        return Fraction(_bareiss_det([r for r, _ in cleared]), prod(m for _, m in cleared))
 
     def to_json(self) -> list[list[str]]:
         return [[format_rational(v) for v in row] for row in self.rows]
@@ -171,7 +153,8 @@ def _row_reduce(
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Gauss-Jordan elimination on integers: (rows, pivot columns), one
     primitive integer row per pivot, and row r divided by its entry at
-    pivots[r] is row r of the reduced row echelon form.
+    pivots[r] is row r of the reduced row echelon form.  The pivot columns
+    are the first maximal linearly independent set of columns.
 
     Each row is first cleared of denominators, a nonzero scaling that keeps
     the row space.  Clearing column c of row i with pivot d maps it to
@@ -224,15 +207,6 @@ def nullspace_basis(rows: Sequence[Sequence[Rat]], dim: int) -> tuple[tuple[int,
     return tuple(basis)
 
 
-def canonical_subspace(
-    vectors: Sequence[Sequence[Rat]], dim: int
-) -> tuple[tuple[Fraction, ...], ...]:
-    """The nonzero RREF rows of the vectors, which span the same subspace;
-    equal iff subspaces are equal.  Every vector must have length dim."""
-    reduced, pivots = _row_reduce(vectors, dim)
-    return tuple(tuple(Fraction(v, row[p]) for v in row) for row, p in zip(reduced, pivots))
-
-
 # --- Cones ----------------------------------------------------------------
 
 class Membership(Enum):
@@ -241,22 +215,15 @@ class Membership(Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class HalfspaceCone:
-    """{x : <n, x> >= 0 for n in normals}."""
-
-    normals: tuple[tuple[int, ...], ...]
-
-
 def _dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
     return sum(x * y for x, y in zip(a, b, strict=True))
 
 
-def cone_membership(cone: HalfspaceCone, point: Sequence[Rat]) -> Membership:
-    """Relative position of a point: interior means every inequality is
-    strict."""
+def cone_membership(normals: Sequence[Sequence[Rat]], point: Sequence[Rat]) -> Membership:
+    """Position of a point relative to the cone {x : <n, x> >= 0 for n in
+    normals}: interior means every inequality is strict."""
     tight = False
-    for n in cone.normals:
+    for n in normals:
         s = _dot(n, point)
         if s < 0:
             return Membership.OUTSIDE
@@ -266,35 +233,6 @@ def cone_membership(cone: HalfspaceCone, point: Sequence[Rat]) -> Membership:
 
 
 # --- LP feasibility -------------------------------------------------------
-
-def lp_feasible(
-    ineqs: Sequence[tuple[Sequence[Rat], Rat]],
-    eqs: Sequence[tuple[Sequence[Rat], Rat]],
-    dim: int,
-) -> bool:
-    """Exact feasibility of {x : <a,x> <= b for ineqs, <a,x> = b for eqs},
-    x free, via an integer-pivoting phase-1 simplex with Bland's rule.  A
-    coefficient row shorter than dim is padded with zeros; a longer one
-    raises `PreconditionError`."""
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    nslack = len(ineqs)
-    # columns: x+ (dim), x- (dim), one slack per inequality
-    for k, (coeffs, b) in enumerate([*ineqs, *eqs]):
-        if len(coeffs) > dim:
-            raise PreconditionError(
-                f"constraint {k} has {len(coeffs)} coefficients, expected at most {dim}"
-            )
-        # a positive scaling, so the constraint keeps its solution set
-        *a, c = clear_denominators((*coeffs, b))
-        a += [0] * (dim - len(a))
-        row = a + [-v for v in a] + [int(k == t) for t in range(nslack)]
-        if c < 0:
-            row, c = [-v for v in row], -c
-        rows.append(row)
-        rhs.append(c)
-    return _phase1_feasible(rows, rhs)
-
 
 def _phase1_feasible(rows: list[list[int]], rhs: list[int]) -> bool:
     """Phase 1 on {A y = b, y >= 0} with b >= 0, pivoting on integers.
@@ -434,26 +372,6 @@ def certifies_edge(
     return True
 
 
-def _independent_rows(rows: list[tuple[int, ...]]) -> list[int]:
-    """Indices of the first maximal linearly independent set of integer
-    rows, by fraction-free elimination."""
-    basis: list[tuple[int, tuple[int, ...]]] = []
-    keep = []
-    for k, row in enumerate(rows):
-        r = list(row)
-        for p, b in basis:
-            f = r[p]
-            if f:
-                r = [x * b[p] - f * y for x, y in zip(r, b)]
-        piv = next((c for c, x in enumerate(r) if x), None)
-        if piv is not None:
-            basis.append((piv, _primitive(r)))
-            keep.append(k)
-            if len(keep) == len(row):
-                break
-    return keep
-
-
 def _primitive(vec: list[int]) -> tuple[int, ...]:
     """The vector divided by its content; the zero vector as it is."""
     g = gcd(*vec)
@@ -475,7 +393,9 @@ def _double_description(pts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
     """
     d = len(pts[0])
     rows = [(*p, -1) for p in pts]
-    start = _independent_rows(rows)
+    # the first d + 1 rows that are linearly independent: the pivot columns
+    # of their transpose
+    start = _row_reduce(list(zip(*rows)), len(rows))[1]
     rays = []
     for j in start:
         (ray,) = nullspace_basis([rows[k] for k in start if k != j], d + 1)
@@ -531,8 +451,10 @@ def hull_edges(points: Sequence[Sequence[Rat]]) -> Hull:
     n = len(pts)
     if n == 1:
         return Hull([0], [], ())
-    # the chart: the first coordinates independent on the affine hull
-    cols = _independent_rows(list(zip(*([a - b for a, b in zip(p, pts[0])] for p in pts[1:]))))
+    # the chart: the first coordinates independent on the affine hull, the
+    # pivot columns of the differences to the first point
+    diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    cols = _row_reduce(diffs, len(pts[0]))[1]
     rays = _double_description([tuple(p[c] for c in cols) for p in pts])
     through: list[list[int]] = [[] for _ in range(n)]
     for _, mask in rays:

@@ -7,12 +7,14 @@ u^-1 beta negative, that is when beta lies in the root set
 {u(gamma) : gamma negative} of every member.  Each member's root set is
 one bitmask over `all_roots()` (`weyl.root_set`, whose per-group index the
 metric route of `retraction` shares), and the fiber's normals are the
-bits of their intersection, in `all_roots()` order.  For tables coming from
-retractions the member union is convex and the cone reproduces it
-exactly.
+bits of their intersection, in `all_roots()` order.  A `FanCone` holds
+those normals as they are, the cone being {x : <n, x> >= 0 for each n}.
+For tables coming from retractions the member union is convex and the
+cone reproduces it exactly.
 
 A query never scans the group: `weyl.closed_chambers` walks from the
-identity chamber across walls to the chambers that hold the point.
+identity chamber across walls to the chambers that hold the point, and
+`exact.cone_membership` grades the point against its target's normals.
 
 Lineality is reported modulo the always-present translation directions of
 type A blocks (the per-block constant vectors), so "strongly convex" means
@@ -30,34 +32,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AmbiguousBoundary, InconsistentLineality, PreconditionError
-from .exact import (
-    HalfspaceCone,
-    Membership,
-    Rat,
-    clear_denominators,
-    cone_membership,
-    nullspace_basis,
-)
+from .exact import Membership, Rat, clear_denominators, cone_membership, nullspace_basis
 from .retraction import RetractionTable
 from .weyl import (
     GroupDescriptor,
     SignedPermutation,
     WeylType,
     _sparse_roots,
-    act_on_vector,
     closed_chambers,
     root_set,
 )
-
-
-def _negated_simples(group: GroupDescriptor) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(-c for c in a) for a in group.simple_roots())
-
-
-def chamber_cone(u: SignedPermutation) -> HalfspaceCone:
-    """The closed chamber of u as a halfspace cone."""
-    normals = tuple(act_on_vector(u, neg) for neg in _negated_simples(u.group))
-    return HalfspaceCone(normals=normals)
 
 
 def _type_a_ones(group: GroupDescriptor) -> list[list[int]]:
@@ -79,9 +63,13 @@ def _reduced_lineality(
 
 @dataclass(frozen=True)
 class FanCone:
+    """The cone of one fiber: the chambers `members` that retract onto
+    `target`, and the cone {x : <n, x> >= 0 for n in normals} that holds
+    them, with its lineality reduced modulo the type A constant vectors."""
+
     target: SignedPermutation
     members: tuple[SignedPermutation, ...]
-    cone: HalfspaceCone
+    normals: tuple[tuple[int, ...], ...]
     reduced_lineality: tuple[tuple[int, ...], ...]
 
     @property
@@ -113,7 +101,7 @@ class Fan:
                 {
                     "target": list(c.target.window),
                     "members": [list(u.window) for u in c.members],
-                    "normals": [list(b) for b in c.cone.normals],
+                    "normals": [list(b) for b in c.normals],
                     "strongly_convex": c.strongly_convex,
                 }
                 for c in self.cones
@@ -142,7 +130,7 @@ def build_fan(table: RetractionTable) -> Fan:
             FanCone(
                 target=y,
                 members=tuple(members),
-                cone=HalfspaceCone(normals=normals),
+                normals=normals,
                 reduced_lineality=lin,
             )
         )
@@ -185,7 +173,7 @@ def query(fan: Fan, lam: Sequence[Rat]) -> QueryResult:
         shown = sorted(list(w) for w in images)
         raise AmbiguousBoundary(f"point lies between targets {shown}")
     target = fan.table.retract(hit[0])
-    grade = cone_membership(fan.cone_for(target).cone, point)
+    grade = cone_membership(fan.cone_for(target).normals, point)
     if grade is Membership.OUTSIDE:
         raise AssertionError(
             f"point {list(lam)} lies outside the cone of its own target"

@@ -4,10 +4,13 @@ Each oracle recomputes a quantity along a route the library does not use:
 word lengths come from breadth-first search over the Cayley graph, the
 Bruhat order from the reflexive-transitive closure of covering relations,
 planar hulls from sympy's geometry module, the chambers and cone normals
-of a fan from scans over the whole group and every root, the connectivity
+of a fan from scans over the whole group and every root, each chamber
+tested as the cone of its own normals (`chamber_cone`), the connectivity
 of a fan cone's members from a search over wall adjacency, the Pluecker
-support from one determinant per minor, hull edges from the primal
-edge LP, of which the library solves the Farkas dual, the torus fixed
+support from one determinant per minor (`minor`, Bareiss on the
+submatrix), hull edges from the primal edge LP, of which the library
+solves the Farkas dual, posed as a general feasibility problem
+(`lp_feasible`, on the library's integer phase 1), the torus fixed
 points from a test of every permutation, the canonical sort key from
 `order_key` on each factor's local window, and the Bruhat rows and type-D
 parity keys of the order route from each translate's own ranks rather
@@ -23,8 +26,15 @@ import numpy as np
 from sympy import Rational as SymRational
 from sympy.geometry import Point2D, Polygon, Segment2D, convex_hull
 
-from weylret.exact import Membership, RationalMatrix, cone_membership, lp_feasible
-from weylret.fan import FanCone, chamber_cone
+from weylret.errors import PreconditionError
+from weylret.exact import (
+    Membership,
+    RationalMatrix,
+    _phase1_feasible,
+    clear_denominators,
+    cone_membership,
+)
+from weylret.fan import FanCone
 from weylret.orbit import PluckerSupport
 from weylret.retraction import _parity_table
 from weylret.weyl import (
@@ -88,6 +98,12 @@ def oracle_leq(
     w: SignedPermutation,
 ) -> bool:
     return v.window in closure[w.window]
+
+
+def chamber_cone(u: SignedPermutation) -> tuple[tuple[int, ...], ...]:
+    """The normals of the closed chamber of u: u applied to each negated
+    simple root."""
+    return tuple(act_on_vector(u, tuple(-c for c in a)) for a in u.group.simple_roots())
 
 
 def chambers_holding(group: GroupDescriptor, point) -> tuple[SignedPermutation, ...]:
@@ -169,10 +185,18 @@ def drop_last(points) -> list[tuple[Fraction, Fraction]]:
     return [tuple(map(Fraction, p[:-1])) for p in points]
 
 
+def minor(x: RationalMatrix, row_indices, col_indices) -> Fraction:
+    """Determinant of the submatrix of x on 1-based row and column
+    indices."""
+    return RationalMatrix(
+        tuple(tuple(x.rows[i - 1][j - 1] for j in col_indices) for i in row_indices)
+    ).det()
+
+
 def plucker_sets_by_minors(x: RationalMatrix):
     """Per size k, the row subsets J whose minor on rows J and columns 1..k
-    is nonzero, each minor its own `RationalMatrix.minor` (Bareiss on the
-    submatrix); None when x itself is singular."""
+    is nonzero, each minor its own `minor` (Bareiss on the submatrix); None
+    when x itself is singular."""
     n = x.nrows
     if x.det() == 0:
         return None
@@ -180,10 +204,35 @@ def plucker_sets_by_minors(x: RationalMatrix):
         tuple(
             J
             for J in itertools.combinations(range(1, n + 1), k)
-            if x.minor(J, range(1, k + 1)) != 0
+            if minor(x, J, range(1, k + 1)) != 0
         )
         for k in range(1, n + 1)
     )
+
+
+def lp_feasible(ineqs, eqs, dim: int) -> bool:
+    """Exact feasibility of {x : <a,x> <= b for ineqs, <a,x> = b for eqs},
+    x free, via the library's integer-pivoting phase-1 simplex with Bland's
+    rule.  A coefficient row shorter than dim is padded with zeros; a longer
+    one raises `PreconditionError`."""
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    nslack = len(ineqs)
+    # columns: x+ (dim), x- (dim), one slack per inequality
+    for k, (coeffs, b) in enumerate([*ineqs, *eqs]):
+        if len(coeffs) > dim:
+            raise PreconditionError(
+                f"constraint {k} has {len(coeffs)} coefficients, expected at most {dim}"
+            )
+        # a positive scaling, so the constraint keeps its solution set
+        *a, c = clear_denominators((*coeffs, b))
+        a += [0] * (dim - len(a))
+        row = a + [-v for v in a] + [int(k == t) for t in range(nslack)]
+        if c < 0:
+            row, c = [-v for v in row], -c
+        rows.append(row)
+        rhs.append(c)
+    return _phase1_feasible(rows, rhs)
 
 
 def lp_edge_primal(points, i: int, j: int) -> bool:

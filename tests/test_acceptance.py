@@ -19,7 +19,7 @@ from oracles import (
     oracle_leq,
 )
 
-from weylret.exact import RationalMatrix, canonical_subspace, hull_edges, lp_edge_feasible
+from weylret.exact import RationalMatrix, hull_edges, lp_edge_feasible
 from weylret.fan import build_fan
 from weylret.matroid import (
     fano_matroid_s7,
@@ -291,7 +291,7 @@ def test_criterion_10_fan_figures():
     fan2 = build_fan(geometric_table(RationalMatrix(DEMO_MATRIX_2)))
     if len(fan2.cones) != 2 or any(c.strongly_convex for c in fan2.cones):
         bad.append(("fan2 shape", len(fan2.cones)))
-    if fan2.lineality != canonical_subspace(((1, -2, 1),), 3):
+    if fan2.lineality != ((1, -2, 1),):
         bad.append(("fan2 lineality", fan2.lineality))
     groups2 = {c.target.window: {m.window for m in c.members} for c in fan2.cones}
     if groups2 != {

@@ -9,13 +9,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import drop_last, hull_edges_2d, lp_edge_primal
+from oracles import hull_edges_2d, lp_edge_primal, lp_feasible, minor
 from weylret.errors import ParseError, PreconditionError
 from weylret.exact import (
-    HalfspaceCone,
     Membership,
     RationalMatrix,
-    canonical_subspace,
+    _row_reduce,
     certifies_edge,
     clear_denominators,
     cone_membership,
@@ -23,7 +22,6 @@ from weylret.exact import (
     hull_edges,
     integer_primitive,
     lp_edge_feasible,
-    lp_feasible,
     nullspace_basis,
     parse_rational,
 )
@@ -82,12 +80,12 @@ def test_det_rank_minor_vs_sympy():
         mat = RationalMatrix(rows)
         sym = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
         assert mat.det() == sym.det()
-        assert mat.rank() == sym.rank()
+        assert len(_row_reduce(rows, n)[1]) == sym.rank()
         k = rng.randint(1, n)
         ri = sorted(rng.sample(range(1, n + 1), k))
         ci = sorted(rng.sample(range(1, n + 1), k))
         sub = sym[[i - 1 for i in ri], [j - 1 for j in ci]]
-        assert mat.minor(ri, ci) == sub.det()
+        assert minor(mat, ri, ci) == sub.det()
 
 
 def test_det_hand_values():
@@ -128,7 +126,7 @@ def test_rref_and_nullspace():
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
         rows = [[rand_fraction(rng) for _ in range(ncols)] for _ in range(nrows)]
         sym = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows])
-        assert len(canonical_subspace(rows, ncols)) == sym.rank()
+        assert len(_row_reduce(rows, ncols)[1]) == sym.rank()
         basis = nullspace_basis(rows, ncols)
         assert len(basis) == ncols - sym.rank()
         for vec in basis:
@@ -171,10 +169,10 @@ def test_elimination_matches_sympy(case):
     sym = sympy.Matrix([[sympy.Rational(str(Fraction(x))) for x in r] for r in rows])
     sym_rref, sym_pivots = sym.rref()
     want = [[_sympy_fraction(x) for x in sym_rref.row(i)] for i in range(sym.rows)]
-    reduced = canonical_subspace(rows, ncols)
-    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
+    reduced, pivots = _row_reduce(rows, ncols)
+    rref = [[Fraction(x, row[p]) for x in row] for row, p in zip(reduced, pivots)]
     assert pivots == list(sym_pivots)
-    assert list(map(list, reduced)) == want[: len(pivots)]
+    assert rref == want[: len(pivots)]
     assert all(not any(row) for row in want[len(pivots) :])
     basis = nullspace_basis(rows, ncols)
     sym_basis = [
@@ -215,36 +213,22 @@ def test_nullspace_basis_depends_only_on_the_row_space(case, data):
         lambda: nullspace_basis([[0, 0, 1]], 2),
         lambda: nullspace_basis([[1, 1], [1]], 2),
         lambda: nullspace_basis([[1, 0], [0, 1, 5]], 2),
-        lambda: canonical_subspace([[1, 1], [1]], 2),
-        lambda: canonical_subspace([(1, 0, 2)], 2),
     ],
-    ids=["too-wide", "ragged", "ragged-wide", "rref-ragged", "subspace-wide"],
+    ids=["too-wide", "ragged", "ragged-wide"],
 )
 def test_row_widths_are_checked(call):
     with pytest.raises(PreconditionError, match="length"):
         call()
 
 
-def test_canonical_subspace_is_basis_invariant():
-    v1, v2 = (1, 0, 2, 0), (0, 1, -1, 3)
-    mixed = [
-        (1, 1, 1, 3),  # v1 + v2
-        (2, -1, 5, -3),  # 2 v1 - v2
-    ]
-    assert canonical_subspace([v1, v2], 4) == canonical_subspace(mixed, 4)
-    assert canonical_subspace([v1], 4) != canonical_subspace([v1, v2], 4)
-    assert canonical_subspace([], 4) == ()
-
-
 # --- cones -----------------------------------------------------------------
 
 
-def quadrant() -> HalfspaceCone:
-    return HalfspaceCone(normals=((1, 0), (0, 1)))
+QUADRANT = ((1, 0), (0, 1))
 
 
 def test_cone_membership():
-    cone = quadrant()
+    cone = QUADRANT
     assert cone_membership(cone, (1, 1)) is Membership.INTERIOR
     assert cone_membership(cone, (0, 1)) is Membership.BOUNDARY
     assert cone_membership(cone, (0, 0)) is Membership.BOUNDARY
@@ -252,11 +236,8 @@ def test_cone_membership():
 
 
 def test_cone_lineality():
-    assert nullspace_basis(quadrant().normals, 2) == ()
-    lin = nullspace_basis([(1, 0, 0)], 3)
-    assert canonical_subspace(lin, 3) == canonical_subspace(
-        [(0, 1, 0), (0, 0, 1)], 3
-    )
+    assert nullspace_basis(QUADRANT, 2) == ()
+    assert nullspace_basis([(1, 0, 0)], 3) == ((0, 1, 0), (0, 0, 1))
 
 
 # --- linear programming ----------------------------------------------------
@@ -584,6 +565,20 @@ def edge_lp_cases(draw):
 def test_lp_edge_feasible_matches_primal_oracle(case):
     points, i, j = case
     assert lp_edge_feasible(points, i, j) == lp_edge_primal(points, i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lp_cases(), st.booleans(), st.integers(-3, 3))
+def test_hull_edges_ignore_a_leading_dependent_coordinate(case, constant, c):
+    """A first coordinate that is constant, or a combination of the others,
+    is an affine image of the same polytope: the same vertices, edges and
+    facet masks.  The chart must then pass over a dependent coordinate
+    rather than take the first ones."""
+    points = case[0]
+    lifted = [(c if constant else c * p[0] + p[-1], *p) for p in points]
+    a, b = hull_edges(points), hull_edges(lifted)
+    assert (a.vertices, a.edges) == (b.vertices, b.edges)
+    assert sorted(f.mask for f in a.facets) == sorted(f.mask for f in b.facets)
 
 
 def test_lp_edge_feasible_sees_a_point_inside_the_segment():

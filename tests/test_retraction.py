@@ -519,11 +519,12 @@ def test_batched_scan_matches_bruhat_oracle_in_every_chunking(M, side):
     us = elements(M.group)
     expected = _bruhat_extremal_sets(M, us, side)
     m, cost = len(M), retraction._scan_cost(M)
-    # one row per chunk, row chunks with and without a short last one,
-    # five whole base elements per chunk (no group order is a multiple of
-    # five), and every base element in one chunk
-    budgets = [1, m - 1, m, m * m - 1, 5 * m * cost, retraction._SCAN_BUDGET]
-    for budget in budgets:
+    # a budget of k * cost gives a step of k rows: one row per chunk, row
+    # chunks with a short last one (m - 1) and without (m), five whole base
+    # elements per chunk (no group order is a multiple of five), and every
+    # base element in one chunk
+    steps = [1, m - 1, m, 5 * m, len(us) * m]
+    for budget in (step * cost for step in steps):
         with mock.patch.object(retraction, "_SCAN_BUDGET", budget):
             assert _extremal_elements(M, us, side) == expected
             assert _extremal_elements(M, [], side) == []
