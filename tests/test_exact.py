@@ -213,12 +213,35 @@ def test_nullspace_basis_depends_only_on_the_row_space(case, data):
         lambda: nullspace_basis([[0, 0, 1]], 2),
         lambda: nullspace_basis([[1, 1], [1]], 2),
         lambda: nullspace_basis([[1, 0], [0, 1, 5]], 2),
+        lambda: _row_reduce([[1, 1], [1]], 2),
+        lambda: _row_reduce([(1, 0, 2)], 2),
     ],
-    ids=["too-wide", "ragged", "ragged-wide"],
+    ids=["too-wide", "ragged", "ragged-wide", "rref-ragged", "subspace-wide"],
 )
 def test_row_widths_are_checked(call):
     with pytest.raises(PreconditionError, match="length"):
         call()
+
+
+def _rref(rows, ncols):
+    reduced, pivots = _row_reduce(rows, ncols)
+    return [tuple(Fraction(x, row[p]) for x in row) for row, p in zip(reduced, pivots)]
+
+
+def test_canonical_subspace_is_basis_invariant():
+    """The RREF of the rows is canonical for their span, and the null-space
+    basis for its orthogonal complement: both see only the subspace."""
+    v1, v2 = (1, 0, 2, 0), (0, 1, -1, 3)
+    mixed = [
+        (1, 1, 1, 3),  # v1 + v2
+        (2, -1, 5, -3),  # 2 v1 - v2
+    ]
+    assert _rref([v1, v2], 4) == _rref(mixed, 4)
+    assert _rref([v1], 4) != _rref([v1, v2], 4)
+    assert _rref([], 4) == []
+    assert nullspace_basis([v1, v2], 4) == nullspace_basis(mixed, 4)
+    assert nullspace_basis([v1], 4) != nullspace_basis([v1, v2], 4)
+    assert len(nullspace_basis([], 4)) == 4
 
 
 # --- cones -----------------------------------------------------------------
