@@ -152,18 +152,24 @@ def _row_reduce(
     rows: Sequence[Sequence[Rat]], ncols: int
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Gauss-Jordan elimination on integers: (rows, pivot columns), one
-    primitive integer row per pivot, and row r divided by its entry at
-    pivots[r] is row r of the reduced row echelon form.  The pivot columns
-    are the first maximal linearly independent set of columns.
+    integer row per pivot, and row r divided by its entry at pivots[r] is
+    row r of the reduced row echelon form.  The pivot columns are the
+    first maximal linearly independent set of columns.
 
-    Each row is first cleared of denominators, a nonzero scaling that keeps
-    the row space.  Clearing column c of row i with pivot d maps it to
-    row_i * d - row_i[c] * pivot_row, which is then divided by its content,
-    so every entry stays an integer (Bareiss, Math. Comp. 22, 1968)."""
+    A row with a `Fraction` entry is first cleared of denominators and
+    divided by its content, a nonzero scaling that keeps the row space; a
+    row of `int`s is taken as it is.  Clearing column c of row i with
+    pivot d maps it to row_i * d - row_i[c] * pivot_row, which is then
+    divided by its content, so every entry stays an integer (Bareiss,
+    Math. Comp. 22, 1968)."""
+    m = []
     for k, row in enumerate(rows):
         if len(row) != ncols:
             raise PreconditionError(f"row {k} has length {len(row)}, expected {ncols}")
-    m = [_primitive(clear_denominators(row)) for row in rows]
+        if all(type(v) is int for v in row):
+            m.append(tuple(row))
+        else:
+            m.append(_primitive(clear_denominators(row)))
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)

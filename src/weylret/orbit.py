@@ -8,7 +8,9 @@ permutations all of whose prefix sets lie in the support, and the limit of
 the orbit under the one-parameter subgroup with weight lam picks, at each
 size, the support set of least lam-sum.  For lam interior to a chamber the
 minimizers are unique and nested, so they spell out a window; ties raise
-`TieDetected` instead of guessing.
+`TieDetected` instead of guessing.  Each support set is kept as a bitmask
+of its rows, and a limit first lists the lam-sums of all 2^n row subsets,
+doubling the list once per row, so each set's sum is one lookup.
 
 Everything is exact.  Each row is first cleared of denominators, a
 positive scaling that changes no minor's vanishing; the minors on rows J
@@ -25,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import GiveUp, PreconditionError, SingularMatrix, TieDetected
@@ -61,6 +63,11 @@ class PluckerSupport:
 
     def at(self, k: int) -> tuple[tuple[int, ...], ...]:
         return self.sets[k - 1]
+
+    @cached_property
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per level, each set as a bitmask with bit j - 1 for row j."""
+        return tuple(tuple(sum(1 << (j - 1) for j in J) for J in level) for level in self.sets)
 
     def to_json(self) -> dict:
         return {"n": self.n, "sets": [[list(J) for J in level] for level in self.sets]}
@@ -102,21 +109,24 @@ def fixed_points(support: PluckerSupport | RationalMatrix) -> SubsetM:
     """Permutations whose prefix sets all lie in the support, built one
     letter at a time: a window of length k - 1 whose prefix sets all lie in
     the support is extended by each letter a that makes its set plus a a
-    support set of size k."""
+    support set of size k.  Each window carries its set as a bitmask, as
+    in `PluckerSupport.masks`; a letter already in the set leaves the
+    mask at size k - 1, so it is never allowed."""
     if isinstance(support, RationalMatrix):
         support = plucker_support(support)
     n = support.n
-    windows: list[tuple[int, ...]] = [()]
-    for level in support.sets:
-        allowed = set(map(frozenset, level))
+    letters = [(a, 1 << (a - 1)) for a in range(1, n + 1)]
+    windows: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for level in support.masks:
+        allowed = set(level)
         windows = [
-            w + (a,)
-            for w in windows
-            for a in range(1, n + 1)
-            if a not in w and frozenset(w + (a,)) in allowed
+            (w + (a,), J | bit)
+            for w, J in windows
+            for a, bit in letters
+            if J | bit in allowed
         ]
     group = _type_a_group(n)
-    return SubsetM(group, tuple(SignedPermutation._unchecked(group, w) for w in windows))
+    return SubsetM(group, tuple(SignedPermutation._unchecked(group, w) for w, _ in windows))
 
 
 def limit_point(
@@ -132,22 +142,26 @@ def limit_point(
     n = support.n
     if len(lam) != n:
         raise ValueError(f"weight length {len(lam)} != {n}")
-    weight = (0, *lam).__getitem__
+    # sums[J] is the lam-sum of the rows in the bitmask J: the sums of the
+    # subsets of rows 1..j, doubled by adding lam_{j+1} to each
+    sums = [0]
+    for w in lam:
+        sums += [t + w for t in sums]
     window: list[int] = []
-    prev: frozenset[int] = frozenset()
-    for k, level in enumerate(support.sets, start=1):
-        sums = [sum(map(weight, J)) for J in level]
-        best = min(sums)
-        ties = sums.count(best)
+    prev = 0
+    for k, level in enumerate(support.masks, start=1):
+        weights = [sums[J] for J in level]
+        best = min(weights)
+        ties = weights.count(best)
         if ties > 1:
             raise TieDetected(f"least weight {best} at size {k} reached by {ties} sets")
-        J = frozenset(level[sums.index(best)])
-        if not prev < J:
+        J = level[weights.index(best)]
+        # J has one row more than prev, so it nests iff it holds prev
+        if J & prev != prev:
             raise ValueError(
                 f"minimizers are not nested at size {k}; not a flag support"
             )
-        (added,) = J - prev
-        window.append(added)
+        window.append((J ^ prev).bit_length())
         prev = J
     # nested minimizers of sizes 1..n add each of 1..n once: a permutation
     return SignedPermutation._unchecked(_type_a_group(n), tuple(window))

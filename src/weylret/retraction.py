@@ -10,8 +10,10 @@ Three routes onto a subset M:
 * metric: the set of elements of M closest to u in the word metric.
 
 The metric route needs no arrays: d(u, v) is half the popcount of the
-XOR of two integer root-set bitmasks (`weyl.root_set`), and `SubsetM`
-caches its members' masks.  The order route translates M once per
+XOR of two integer root-set bitmasks (`weyl.root_set`), which are cached
+per element, so the base element's mask and those of M's members
+(`SubsetM.root_sets`) are each computed once, whichever table or fan asks
+for them first.  The order route translates M once per
 distinct prefix set: one lookup per u sends each letter a to the rank of
 u^-1(a) in 1 < ... < r < rbar < ... < 1bar, and `_translated_sets` gives,
 at each level k, the sorted ranks of each distinct set of k leading

@@ -23,7 +23,8 @@ that criterion is tested against.
 
 `root_set` gives the roots a chamber sees negative as one integer
 bitmask, so word distances are popcounts of an XOR; the fan and the
-metric route of `retraction` both read it.
+metric route of `retraction` both read it, through one bounded cache per
+element.
 
 `_walk` finds a closed chamber that holds a point, on every type, by
 walking across walls from the identity chamber.  `chamber_of` takes the
@@ -87,11 +88,14 @@ class Factor:
 @dataclass(frozen=True, slots=True)
 class GroupDescriptor:
     factors: tuple[Factor, ...]
-    # derived from factors once; not part of equality, hashing or JSON
+    # derived from factors once; not part of equality, hashing or JSON.
+    # _hash is the hash of (factors,), so that every per-group cache lookup
+    # and every element hash reads it instead of hashing each factor again.
     _segments: tuple[tuple[int, Factor], ...] = field(
         init=False, repr=False, compare=False
     )
     window_length: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.factors:
@@ -100,6 +104,15 @@ class GroupDescriptor:
         offsets = itertools.accumulate((f.rank for f in self.factors), initial=0)
         object.__setattr__(self, "_segments", tuple(zip(offsets, self.factors)))
         object.__setattr__(self, "window_length", sum(f.rank for f in self.factors))
+        object.__setattr__(self, "_hash", hash((self.factors,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its factors, so the derived fields, the hash above
+        # all, are computed in the process that unpickles it
+        return (GroupDescriptor, (self.factors,))
 
     @classmethod
     def simple(cls, type: WeylType | str, rank: int) -> "GroupDescriptor":
@@ -420,29 +433,31 @@ def letter_positions(u: SignedPermutation) -> dict[int, int]:
 # --- Enumeration ----------------------------------------------------------
 
 def _factor_windows(f: Factor) -> Iterator[tuple[int, ...]]:
-    """All local windows in lexicographic order under `order_key`."""
+    """All local windows in lexicographic order under `order_key`.
+
+    The 2r letters are sorted by `order_key` once; each node extends its
+    prefix by the letters not yet used, in that order.  The last letter is
+    the one absolute value left, unbarred before barred, and on D only
+    the one that makes the bar count even."""
     r = f.rank
     if f.type is WeylType.A:
         yield from itertools.permutations(range(1, r + 1))
         return
+    letters = sorted([*range(1, r + 1), *range(-r, 0)], key=lambda v: order_key(v, r))
+    # the signs the last letter may take, by the parity of the bars before it
+    last_signs = ((1, -1), (1, -1)) if f.type is WeylType.BC else ((1,), (-1,))
 
-    def rec(prefix: list[int], used: set[int], bars: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == r:
-            yield tuple(prefix)
+    def rec(prefix: tuple[int, ...], used: int, left: int, bars: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == r - 1:
+            for s in last_signs[bars % 2]:
+                yield (*prefix, s * left)
             return
-        last = len(prefix) == r - 1
-        cands = [s * a for a in range(1, r + 1) if a not in used for s in (1, -1)]
-        cands.sort(key=lambda v: order_key(v, r))
-        for v in cands:
-            if f.type is WeylType.D and last and (bars + (v < 0)) % 2:
-                continue
-            prefix.append(v)
-            used.add(abs(v))
-            yield from rec(prefix, used, bars + (v < 0))
-            used.discard(abs(v))
-            prefix.pop()
+        for v in letters:
+            a = abs(v)
+            if not used >> a & 1:
+                yield from rec((*prefix, v), used | 1 << a, left - a, bars + (v < 0))
 
-    yield from rec([], set(), 0)
+    yield from rec((), 0, r * (r + 1) // 2, 0)
 
 
 def enumerate_group(
@@ -730,6 +745,7 @@ def _sparse_roots(
     return roots, index, tuple(pairs), tuple(singles)
 
 
+@lru_cache(maxsize=1 << 14)
 def root_set(u: SignedPermutation) -> int:
     """R(u) = {u(gamma) : gamma a negative root}, the roots beta with
     u^-1 beta negative, as a bitmask over `group.all_roots()`.  Every
@@ -737,7 +753,13 @@ def root_set(u: SignedPermutation) -> int:
     R(u) - R(v) one to one onto the positive roots that u^-1 v sends
     negative, so |R(u) ^ R(v)| = 2 l(u^-1 v) = 2 metric(u, v): twice the
     number of root hyperplanes between the chambers of u and v
-    (Humphreys, Reflection Groups and Coxeter Groups, Sections 1.6-1.7)."""
+    (Humphreys, Reflection Groups and Coxeter Groups, Sections 1.6-1.7).
+
+    Cached per element, least recently used first out, for at most 2^14
+    elements (all of S7, BC5 or D5 fit), so a table over W pays for each
+    mask once: `closest_set`'s base elements, `build_fan`'s chambers and
+    `SubsetM.root_sets` share it.  Nothing enumerates W to fill it, so it
+    serves groups of any order."""
     _, index, pairs, singles = _sparse_roots(u.group)
     win = u.window
     mask = 0

@@ -11,9 +11,10 @@ support from one determinant per minor (`minor`, Bareiss on the
 submatrix), hull edges from the primal edge LP, of which the library
 solves the Farkas dual, posed as a general feasibility problem
 (`lp_feasible`, on the library's integer phase 1), the torus fixed
-points from a test of every permutation, the canonical sort key from
-`order_key` on each factor's local window, and the Bruhat rows and type-D
-parity keys of the order route from each translate's own ranks rather
+points from a test of every permutation, the limit fixed point from the
+weight of every support set summed anew at every level, the canonical
+sort key from `order_key` on each factor's local window, and the Bruhat
+rows and type-D parity keys of the order route from each translate's own ranks rather
 than from the distinct prefix sets the library translates.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 from sympy import Rational as SymRational
 from sympy.geometry import Point2D, Polygon, Segment2D, convex_hull
 
-from weylret.errors import PreconditionError
+from weylret.errors import PreconditionError, TieDetected
 from weylret.exact import (
     Membership,
     RationalMatrix,
@@ -258,6 +259,32 @@ def fixed_point_windows_by_scan(support: PluckerSupport) -> tuple[Window, ...]:
         for w in elements(GroupDescriptor.simple(WeylType.A, support.n))
         if all(tuple(sorted(w.window[:k])) in levels[k - 1] for k in range(1, support.n + 1))
     )
+
+
+def limit_window_by_set_sums(support: PluckerSupport, lam) -> Window:
+    """The window of the limit fixed point at the weight lam, summing the
+    weights of every support set anew at every level and comparing the
+    sets as sets; raises `TieDetected` on a tied least weight and
+    `ValueError` when the minimizers do not nest, as `orbit.limit_point`
+    does."""
+    if len(lam) != support.n:
+        raise ValueError(f"weight length {len(lam)} != {support.n}")
+    weight = (0, *lam).__getitem__
+    window: list[int] = []
+    prev: frozenset[int] = frozenset()
+    for k, level in enumerate(support.sets, start=1):
+        sums = [sum(map(weight, J)) for J in level]
+        best = min(sums)
+        ties = sums.count(best)
+        if ties > 1:
+            raise TieDetected(f"least weight {best} at size {k} reached by {ties} sets")
+        J = frozenset(level[sums.index(best)])
+        if not prev < J:
+            raise ValueError(f"minimizers are not nested at size {k}; not a flag support")
+        (added,) = J - prev
+        window.append(added)
+        prev = J
+    return tuple(window)
 
 
 def canonical_key_by_factors(w: SignedPermutation) -> tuple[int, ...]:

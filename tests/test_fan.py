@@ -14,7 +14,8 @@ from weylret.errors import AmbiguousBoundary, InconsistentLineality, Preconditio
 from weylret.exact import Membership, RationalMatrix, cone_membership
 from weylret.fan import FanCone, _reduced_lineality, build_fan, query
 from weylret.orbit import geometric_table, sample_rational_point
-from weylret.retraction import RetractionTable, SubsetM, retraction_table
+from weylret.matroid import bruhat_interval
+from weylret.retraction import RetractionTable, SubsetM, closest_set, retraction_table
 from weylret.weyl import (
     Factor,
     GroupDescriptor,
@@ -24,6 +25,7 @@ from weylret.weyl import (
     elements,
     length,
     longest_element,
+    root_set,
 )
 
 DEMO_1 = RationalMatrix(((1, 1, 0), (1, 0, 1), (1, 0, 0)))
@@ -309,18 +311,21 @@ _COORDS = st.sampled_from((-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2)))
 def greedy_fans(draw, group):
     """The fan of the greedy table of a random product subset of group."""
     picks = draw(st.lists(st.sampled_from(elements(group)), min_size=1, max_size=5))
-    # every combination of the picks' factor windows, so M is a product
+    try:
+        return build_fan(retraction_table(_product_subset(group, picks)))
+    except InconsistentLineality:
+        assume(False)
+
+
+def _product_subset(group, picks) -> SubsetM:
+    """Every combination of the picks' factor windows, so M is a product."""
     parts = [
         sorted({w.window[off : off + f.rank] for w in picks}) for off, f in group.segments()
     ]
-    M = SubsetM(
+    return SubsetM(
         group,
         tuple(group.element(sum(combo, ())) for combo in itertools.product(*parts)),
     )
-    try:
-        return build_fan(retraction_table(M))
-    except InconsistentLineality:
-        assume(False)
 
 
 def _oracle_answer(fan, lam):
@@ -356,3 +361,41 @@ def test_build_fan_normals_match_the_root_scan(name, data):
         assert c.members == fiber
         assert c.normals == fiber_normals(group, fiber)
         assert c.reduced_lineality == _reduced_lineality(group, c.normals)
+
+
+def _fan_or_refusal(table):
+    try:
+        return build_fan(table)
+    except InconsistentLineality as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["BC3", "D4", "A1xBC2"])
+def test_build_fan_agrees_with_uncached_root_sets(name, monkeypatch):
+    group = _ORACLE_GROUPS[name]
+    rng = random.Random(22)
+    tables = [
+        retraction_table(_product_subset(group, rng.sample(elements(group), rng.randint(1, 5))))
+        for _ in range(8)
+    ]
+    cached = [_fan_or_refusal(t) for t in tables]
+    monkeypatch.setattr(weylret.fan, "root_set", root_set.__wrapped__)
+    assert [_fan_or_refusal(t) for t in tables] == cached
+
+
+def test_root_set_cache_is_shared_and_bounded_on_a_bc5_table():
+    """After `closest_set` at every base element of BC5, `build_fan` finds
+    every chamber's root set in the cache, and the cache holds no more
+    than its bound."""
+    group = GroupDescriptor.simple(_BC, 5)
+    M = SubsetM(group, bruhat_interval(group.identity(), group.element((2, -4, 1, 5, -3))))
+    table = retraction_table(M)
+    for u in elements(group):
+        closest_set(M, u)
+    before = root_set.cache_info()
+    fan = build_fan(table)
+    after = root_set.cache_info()
+    assert len(fan.cones) == len(M)
+    assert after.misses == before.misses
+    assert after.hits - before.hits == group.order()
+    assert after.maxsize is not None and after.currsize <= after.maxsize

@@ -1,10 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import fixed_point_windows_by_scan, plucker_sets_by_minors
+from oracles import (
+    fixed_point_windows_by_scan,
+    limit_window_by_set_sums,
+    plucker_sets_by_minors,
+)
 from weylret.errors import GiveUp, PreconditionError, SingularMatrix, TieDetected
 from weylret.exact import RationalMatrix
 from weylret.orbit import (
@@ -17,7 +22,7 @@ from weylret.orbit import (
     weight_for_chamber,
 )
 from weylret.retraction import retraction_table
-from weylret.weyl import chamber_of, elements
+from weylret.weyl import GroupDescriptor, chamber_of, elements
 
 DEMO_1 = RationalMatrix(((1, 1, 0), (1, 0, 1), (1, 0, 0)))
 DEMO_2 = RationalMatrix(((1, 0, 1), (0, 1, 0), (1, 0, 0)))
@@ -185,10 +190,11 @@ def test_sample_rational_point_bad_kind():
 
 
 @st.composite
-def invertible_matrices(draw):
-    """Random invertible 3x3 and 4x4 rational matrices; zeros are frequent,
-    so degenerate supports (small fixed-point sets) come up."""
-    n = draw(st.sampled_from((3, 4)))
+def invertible_matrices(draw, sizes=(3, 4)):
+    """Random invertible rational matrices, 3x3 and 4x4 unless `sizes` says
+    otherwise; zeros are frequent, so degenerate supports (small
+    fixed-point sets) come up."""
+    n = draw(st.sampled_from(sizes))
     entry = st.one_of(
         st.just(Fraction(0)),
         st.fractions(min_value=-6, max_value=6, max_denominator=3),
@@ -237,3 +243,58 @@ def test_greedy_and_order_routes_agree_on_fixed_point_sets(x):
     order = retraction_table(M, method="matroid")
     assert greedy.targets == order.targets
     assert greedy.mapping == order.mapping
+
+
+# small ranges, so that equal sums, and with them ties, come up often
+_WEIGHT_ENTRY = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def hand_made_supports(draw):
+    """Supports of sizes 1-5 whose levels are any nonempty families of
+    k-sets, so that minimizers need not nest."""
+    n = draw(st.integers(1, 5))
+    levels = []
+    for k in range(1, n + 1):
+        family = list(itertools.combinations(range(1, n + 1), k))
+        picked = draw(st.lists(st.sampled_from(family), min_size=1, unique=True))
+        levels.append(tuple(sorted(picked)))
+    return PluckerSupport(n, tuple(levels))
+
+
+def _limit_outcome(limit, support, lam):
+    try:
+        return tuple(limit(support, lam))
+    except (TieDetected, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    support=st.one_of(invertible_matrices().map(plucker_support), hand_made_supports()),
+    data=st.data(),
+)
+def test_limit_point_matches_the_set_sum_oracle(support, data):
+    """Subset sums read by bitmask give the window, the tie or the nesting
+    failure that summing every set anew gives, with int and `Fraction`
+    weights, ties included, and at the tie-free chamber weights."""
+    n = support.n
+    lam = data.draw(
+        st.lists(_WEIGHT_ENTRY, min_size=n, max_size=n)
+        | st.sampled_from(elements(GroupDescriptor.simple("A", n))).map(weight_for_chamber)
+    )
+    want = _limit_outcome(limit_window_by_set_sums, support, lam)
+    got = _limit_outcome(lambda s, w: limit_point(s, w).window, support, lam)
+    assert got == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=invertible_matrices(sizes=(3, 4, 5)))
+def test_geometric_table_equals_greedy_table(x):
+    support = plucker_support(x)
+    limit = geometric_table(support)
+    greedy = retraction_table(fixed_points(support))
+    assert limit.targets == greedy.targets
+    assert limit.mapping == greedy.mapping
+    for u, v in limit.mapping:
+        assert limit_window_by_set_sums(support, weight_for_chamber(u)) == v.window

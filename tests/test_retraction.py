@@ -15,7 +15,13 @@ from oracles import (
     sorted_prefix_rows,
 )
 from weylret import retraction
-from weylret.errors import DescriptorMismatch, NotAMatroidAt, NotAProduct, ParseError
+from weylret.errors import (
+    DescriptorMismatch,
+    EnumerationCapExceeded,
+    NotAMatroidAt,
+    NotAProduct,
+    ParseError,
+)
 from weylret.exact import RationalMatrix
 from weylret.matroid import MatroidVerdict, bruhat_interval, fano_matroid_s7, is_coxeter_matroid
 from weylret.orbit import fixed_points
@@ -43,6 +49,7 @@ from weylret.weyl import (
     letter_positions,
     longest_element,
     metric,
+    root_set,
 )
 
 
@@ -295,6 +302,44 @@ def test_closest_set_hand_values(s3):
     assert [w.window for w in cs] == [(1, 3, 2), (2, 1, 3)] and dist == 1
 
 
+# the root-set cache: Lie ranks, as on the command line (A1xBC2 is S2xBC2)
+_CACHE_GROUPS = {
+    "BC3": GroupDescriptor.simple(WeylType.BC, 3),
+    "D4": GroupDescriptor.simple(WeylType.D, 4),
+    "A1xBC2": GroupDescriptor((Factor(WeylType.A, 2), Factor(WeylType.BC, 2))),
+}
+
+
+@pytest.mark.parametrize("name", _CACHE_GROUPS)
+def test_closest_set_agrees_with_uncached_root_sets(name, monkeypatch):
+    group = _CACHE_GROUPS[name]
+    W = elements(group)
+    rng = random.Random(22)
+    subsets = [tuple(rng.sample(W, rng.randint(1, 8))) for _ in range(6)]
+    cached = [[closest_set(SubsetM(group, s), u) for u in W] for s in subsets]
+    monkeypatch.setattr(retraction, "root_set", root_set.__wrapped__)
+    assert [[closest_set(SubsetM(group, s), u) for u in W] for s in subsets] == cached
+
+
+def test_closest_set_on_a_group_too_large_to_enumerate():
+    """A10 (S11, |W| = 11!): the root-set cache is filled one element at a
+    time, so `closest_set` never lists W, which would raise here."""
+    group = GroupDescriptor.simple(WeylType.A, 11)
+    with pytest.raises(EnumerationCapExceeded):
+        elements(group)
+    rng = random.Random(10)
+
+    def draw() -> SignedPermutation:
+        return group.element(rng.sample(range(1, 12), 11))
+
+    M = SubsetM(group, tuple(draw() for _ in range(4)) + (group.identity(),))
+    for u in [draw() for _ in range(5)] + [M.elements[2]]:
+        close, dist = closest_set(M, u)
+        distances = [metric(u, v) for v in M]
+        assert dist == min(distances)
+        assert close == tuple(v for v, d in zip(M, distances) if d == dist)
+
+
 # --- tables -----------------------------------------------------------------
 
 
@@ -513,7 +558,7 @@ def _bruhat_extremal_sets(M, us, side):
     return out
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(M=kernel_subsets(), side=st.sampled_from(("min", "max")))
 def test_batched_scan_matches_bruhat_oracle_in_every_chunking(M, side):
     us = elements(M.group)

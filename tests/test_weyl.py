@@ -1,13 +1,24 @@
 import copy
 import dataclasses
+import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_lengths, chambers_holding, covering_closure, oracle_leq
+from oracles import (
+    bfs_lengths,
+    canonical_key_by_factors,
+    chambers_holding,
+    covering_closure,
+    oracle_leq,
+)
 from weylret.errors import (
     BoundaryPoint,
     DescriptorMismatch,
@@ -60,6 +71,28 @@ def test_descriptor_derived_fields_stay_out_of_identity():
         assert clone == g and hash(clone) == hash(g)
         assert clone.window_length == 5
         assert clone.segments() == g.segments()
+
+
+def test_descriptor_hash_is_remade_when_unpickled():
+    """The hash is computed once per descriptor; one pickled in a process
+    with another string hash seed must not bring its hash along."""
+    code = (
+        "import pickle, sys\n"
+        "from weylret.weyl import Factor, GroupDescriptor, WeylType\n"
+        "g = GroupDescriptor((Factor(WeylType.A, 3), Factor(WeylType.BC, 2)))\n"
+        "sys.stdout.write(pickle.dumps(g).hex())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    g = mixed_group()
+    clone = pickle.loads(bytes.fromhex(out))
+    assert clone == g and hash(clone) == hash(g) == hash((g.factors,))
+    assert {g: "found"}[clone] == "found"
 
 
 def test_window_validation(s3, bc2, d3):
@@ -445,6 +478,42 @@ def test_enumeration_order_and_sizes(s3, bc2, d3):
     assert len(elements(d3)) == 24
     assert len(set(elements(d3))) == 24
     assert len(elements(mixed_group())) == 48
+
+
+def _signed_windows(f: Factor, off: int) -> list[tuple[int, ...]]:
+    """Every window of one factor, letters shifted by off: each
+    permutation of 1..r with each choice of bars that its type allows."""
+    r = f.rank
+    bar_choices = [()] if f.type is WeylType.A else itertools.product((1, -1), repeat=r)
+    out = []
+    for signs in [s or (1,) * r for s in bar_choices]:
+        if f.type is WeylType.D and signs.count(-1) % 2:
+            continue
+        for perm in itertools.permutations(range(1, r + 1)):
+            out.append(tuple(s * (a + off) for s, a in zip(signs, perm)))
+    return out
+
+
+# window ranks: A5 is S5 here
+_BRUTE_GROUPS = (
+    [GroupDescriptor.simple(WeylType.A, r) for r in range(1, 6)]
+    + [GroupDescriptor.simple(WeylType.BC, r) for r in range(2, 6)]
+    + [GroupDescriptor.simple(WeylType.D, r) for r in range(2, 6)]
+    + [GroupDescriptor((Factor(WeylType.D, 3), Factor(WeylType.A, 2), Factor(WeylType.BC, 2)))]
+)
+
+
+@pytest.mark.parametrize(
+    "group", _BRUTE_GROUPS, ids=lambda g: "x".join(f"{f.type.value}{f.rank}" for f in g.factors)
+)
+def test_enumeration_is_the_sorted_brute_force_product(group):
+    parts = [_signed_windows(f, off) for off, f in group.segments()]
+    brute = [
+        SignedPermutation(group, sum(combo, ())) for combo in itertools.product(*parts)
+    ]
+    brute.sort(key=canonical_key_by_factors)
+    assert len(brute) == group.order()
+    assert [w.window for w in enumerate_group(group)] == [w.window for w in brute]
 
 
 def test_enumeration_cap():
