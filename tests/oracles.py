@@ -14,8 +14,8 @@ solves the Farkas dual, posed as a general feasibility problem
 points from a test of every permutation, the limit fixed point from the
 weight of every support set summed anew at every level, the canonical
 sort key from `order_key` on each factor's local window, and the Bruhat
-rows and type-D parity keys of the order route from each translate's own ranks rather
-than from the distinct prefix sets the library translates.
+rows and type-D parity keys of the order route from each translate's own
+ranks rather than from the distinct prefix sets the library translates.
 """
 
 from __future__ import annotations
