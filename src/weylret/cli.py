@@ -175,12 +175,12 @@ def _subset_from_args(args) -> SubsetM:
 
 def _table_from_args(args):
     method = args.method
+    if args.side != "min":
+        raise PreconditionError("a table fixes its targets, which needs --side min")
     if method == "limit":
         if not getattr(args, "matrix", None):
             raise ParseError("method 'limit' needs --matrix")
         return geometric_table(parse_matrix(args.matrix))
-    if args.side != "min":
-        raise PreconditionError("a table fixes its targets, which needs --side min")
     M = _subset_from_args(args)
     return retraction_table(M, method={"greedy": "algebraic", "order": "matroid"}[method])
 
@@ -189,6 +189,8 @@ def cmd_retract(args) -> int:
     M = _subset_from_args(args)
     u = parse_window(M.group, args.at)
     if args.method == "closest":
+        if args.side != "min":
+            raise PreconditionError("method 'closest' needs --side min")
         close, dist = closest_set(M, u)
         _emit({
             "method": "closest",

@@ -34,6 +34,7 @@ from .weyl import (
     bruhat_leq,
     chamber_of,
     compose,
+    default_base_point,
     elements,
     inverse,
     letter_positions,
@@ -70,21 +71,6 @@ def is_coxeter_matroid(M: SubsetM, side: str = "max") -> MatroidVerdict:
 
 
 # --- Orbit polytope route -------------------------------------------------
-
-def default_base_point(group: GroupDescriptor) -> tuple[int, ...]:
-    """An integer point interior to the identity chamber: 0..r-1 on A
-    blocks, -r..-1 on BC blocks, -r..-2 then 0 on D blocks."""
-    out: list[int] = []
-    for _, f in group.segments():
-        if f.type is WeylType.A:
-            out.extend(range(f.rank))
-        elif f.type is WeylType.BC:
-            out.extend(range(-f.rank, 0))
-        else:
-            out.extend(range(-f.rank, -1))
-            out.append(0)
-    return tuple(out)
-
 
 def orbit_points(
     M: SubsetM, nu: Sequence[Rat] | None = None

@@ -7,7 +7,10 @@ barred letter "k bar", and w(-i) = -w(i) is implicit.  Letters compare in
 the order 1 < 2 < ... < n < nbar < ... < 2bar < 1bar.  `order_key` encodes
 that order; window letters are never compared as raw integers.
 
-Type BC takes the sign change on the last coordinate as its extra simple
+The root data is read off the positive roots that `_factor_positive_roots`
+lists: the simple roots are those that are not a sum of two, and each
+reflection is s_beta(x) = x - 2<x,beta>/<beta,beta> beta.  So type BC
+takes the sign change on the last coordinate as its extra simple
 reflection (simple roots e_i - e_{i+1} and 2e_n); type D takes the double
 sign change on the last two coordinates (extra simple root e_{n-1} + e_n).
 Length is the number of positive roots sent to negative roots, which the
@@ -143,46 +146,34 @@ class GroupDescriptor:
             raise ValueError(f"window letters must be integers, got {bad!r}")
         return SignedPermutation(self, window)
 
+    def _embedded(self, factor_roots) -> tuple[tuple[int, ...], ...]:
+        """The roots `factor_roots` lists for each factor, as vectors of
+        the product system."""
+        dim = self.ambient_dim
+        return tuple(
+            (0,) * off + local + (0,) * (dim - off - f.rank)
+            for off, f in self.segments()
+            for local in factor_roots(f)
+        )
+
     def simple_roots(self) -> tuple[tuple[int, ...], ...]:
         """Simple roots of the product system as integer vectors."""
-        out = []
-        dim = self.ambient_dim
-        for off, f in self.segments():
-            for local in _factor_simple_roots(f):
-                out.append(_embed(local, off, dim))
-        return tuple(out)
+        return self._embedded(_factor_simple_roots)
 
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        dim = self.ambient_dim
-        for off, f in self.segments():
-            for local in _factor_positive_roots(f):
-                out.append(_embed(local, off, dim))
-        return tuple(out)
+        return self._embedded(_factor_positive_roots)
 
     def all_roots(self) -> tuple[tuple[int, ...], ...]:
         pos = self.positive_roots()
         return pos + tuple(tuple(-c for c in r) for r in pos)
 
     def simple_reflections(self) -> tuple["SignedPermutation", ...]:
-        out = []
-        for off, f in self.segments():
-            for s in range(_simple_count(f)):
-                win = list(range(1, self.window_length + 1))
-                loc = _apply_simple(f.type, tuple(range(1, f.rank + 1)), s)
-                win[off : off + f.rank] = [_globalize(v, off) for v in loc]
-                out.append(SignedPermutation(self, tuple(win)))
-        return tuple(out)
+        """The reflections in the simple roots, in `simple_roots` order."""
+        return tuple(_reflection(self, alpha) for alpha in self.simple_roots())
 
     def reflections(self) -> tuple["SignedPermutation", ...]:
         """All reflections, one per positive root, in root order."""
-        out = []
-        for off, f in self.segments():
-            for loc in _factor_reflection_windows(f):
-                win = list(range(1, self.window_length + 1))
-                win[off : off + f.rank] = [_globalize(v, off) for v in loc]
-                out.append(SignedPermutation(self, tuple(win)))
-        return tuple(out)
+        return tuple(_reflection(self, beta) for beta in self.positive_roots())
 
     def to_json(self) -> dict:
         return {"factors": [{"type": f.type.value, "rank": f.rank} for f in self.factors]}
@@ -239,12 +230,6 @@ class SignedPermutation:
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         return compose(self, other)
-
-    def inverse(self) -> "SignedPermutation":
-        return inverse(self)
-
-    def length(self) -> int:
-        return length(self)
 
     def local_windows(self) -> tuple[tuple[int, ...], ...]:
         """Per-factor windows with letters renumbered to 1..rank."""
@@ -351,20 +336,13 @@ def _bruhat_leq_prefix(v: Sequence[int], w: Sequence[int]) -> bool:
     return True
 
 
-def _simple_count(f: Factor) -> int:
-    return f.rank - 1 if f.type is WeylType.A else f.rank
-
-
-def _apply_simple(ftype: WeylType, win: tuple[int, ...], s: int) -> tuple[int, ...]:
-    """Right multiplication by the s-th simple reflection, 0-based."""
-    n = len(win)
+def _apply_simple_d(win: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """Right multiplication of a type-D window by the s-th simple reflection, 0-based."""
     w = list(win)
-    if s < n - 1:
+    if s < len(w) - 1:
         w[s], w[s + 1] = w[s + 1], w[s]
-    elif ftype is WeylType.BC:
-        w[n - 1] = -w[n - 1]
     else:
-        w[n - 2], w[n - 1] = -w[n - 1], -w[n - 2]
+        w[-2], w[-1] = -w[-1], -w[-2]
     return tuple(w)
 
 
@@ -387,9 +365,9 @@ def _bruhat_leq_d(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
             return False
         s = next(s for s in range(len(w)) if _descent_d(w, s))
         if _descent_d(v, s):
-            v = _apply_simple(WeylType.D, v, s)
+            v = _apply_simple_d(v, s)
             lv -= 1
-        w = _apply_simple(WeylType.D, w, s)
+        w = _apply_simple_d(w, s)
         lw -= 1
     return True
 
@@ -460,14 +438,26 @@ def _factor_windows(f: Factor) -> Iterator[tuple[int, ...]]:
     yield from rec((), 0, r * (r + 1) // 2, 0)
 
 
+def _order_exceeds(descriptor: GroupDescriptor, cap: int) -> bool:
+    """Whether the group order passes cap, multiplied up one step at a time
+    and stopped once it does: the order of a large group takes long to
+    compute and has too many digits to print."""
+    total = 1
+    for f in descriptor.factors:
+        # r! on A, 2^r r! on BC and 2^(r-1) r! on D, as factors k or 2k
+        for k in range(1, f.rank + 1):
+            total *= k if f.type is WeylType.A or (k == 1 and f.type is WeylType.D) else 2 * k
+            if total > cap:
+                return True
+    return False
+
+
 def enumerate_group(
     descriptor: GroupDescriptor, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[SignedPermutation]:
     """All elements, windows in lexicographic order under `order_key`."""
-    if descriptor.order() > cap:
-        raise EnumerationCapExceeded(
-            f"group order {descriptor.order()} exceeds cap {cap}"
-        )
+    if _order_exceeds(descriptor, cap):
+        raise EnumerationCapExceeded(f"group order exceeds the enumeration cap {cap}")
     streams = []
     for off, f in descriptor.segments():
         streams.append(
@@ -505,21 +495,25 @@ def elements(descriptor: GroupDescriptor) -> tuple[SignedPermutation, ...]:
     return tuple(enumerate_group(descriptor))
 
 
-def longest_element(descriptor: GroupDescriptor) -> SignedPermutation:
-    win: list[int] = []
-    for off, f in descriptor.segments():
-        r = f.rank
+def default_base_point(group: GroupDescriptor) -> tuple[int, ...]:
+    """An integer point interior to the identity chamber: 0..r-1 on A
+    blocks, -r..-1 on BC blocks, -r..-2 then 0 on D blocks."""
+    out: list[int] = []
+    for _, f in group.segments():
         if f.type is WeylType.A:
-            loc = list(range(r, 0, -1))
+            out.extend(range(f.rank))
         elif f.type is WeylType.BC:
-            loc = [-i for i in range(1, r + 1)]
+            out.extend(range(-f.rank, 0))
         else:
-            # -1 on all coordinates when r is even, else -1 except the last
-            loc = [-i for i in range(1, r + 1)]
-            if r % 2:
-                loc[-1] = r
-        win.extend(_globalize(v, off) for v in loc)
-    return SignedPermutation(descriptor, tuple(win))
+            out.extend(range(-f.rank, -1))
+            out.append(0)
+    return tuple(out)
+
+
+def longest_element(descriptor: GroupDescriptor) -> SignedPermutation:
+    """w0, the chamber of the negated base point: w0 sends the identity
+    chamber to its negative."""
+    return chamber_of(tuple(-c for c in default_base_point(descriptor)), descriptor)
 
 
 # --- Chambers and the reflection action -----------------------------------
@@ -546,10 +540,9 @@ def _walls(group: GroupDescriptor) -> tuple[tuple, tuple[SignedPermutation, ...]
     -alpha_k, and the simple reflections s_k: what `_walk` and
     `closed_chambers` step with, built once per group.  Shared and only
     read."""
-    walls = tuple(
-        tuple((i, -c) for i, c in enumerate(alpha) if c) for alpha in group.simple_roots()
-    )
-    return walls, group.simple_reflections()
+    alphas = group.simple_roots()
+    walls = tuple(tuple((i, -c) for i, c in enumerate(alpha) if c) for alpha in alphas)
+    return walls, tuple(_reflection(group, alpha) for alpha in alphas)
 
 
 def _wall_dots(
@@ -630,25 +623,9 @@ def chamber_of(lam: Sequence[Scalar], descriptor: GroupDescriptor) -> SignedPerm
 
 # --- Root data ------------------------------------------------------------
 
-def _factor_simple_roots(f: Factor) -> list[tuple[int, ...]]:
-    r = f.rank
-    out = []
-    for i in range(r - 1):
-        v = [0] * r
-        v[i], v[i + 1] = 1, -1
-        out.append(tuple(v))
-    if f.type is WeylType.BC:
-        v = [0] * r
-        v[r - 1] = 2
-        out.append(tuple(v))
-    elif f.type is WeylType.D:
-        v = [0] * r
-        v[r - 2] = v[r - 1] = 1
-        out.append(tuple(v))
-    return out
-
-
 def _factor_positive_roots(f: Factor) -> list[tuple[int, ...]]:
+    """e_i - e_j, then e_i + e_j on BC and D, then 2e_i on BC, for i < j:
+    the only hand-written root data, from which the rest is derived."""
     r = f.rank
     out = []
     for i in range(r):
@@ -670,34 +647,26 @@ def _factor_positive_roots(f: Factor) -> list[tuple[int, ...]]:
     return out
 
 
-def _factor_reflection_windows(f: Factor) -> list[tuple[int, ...]]:
-    """Reflection windows in the same order as `_factor_positive_roots`."""
-    r = f.rank
-    ident = tuple(range(1, r + 1))
-    out = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            w = list(ident)
-            w[i], w[j] = j + 1, i + 1
-            out.append(tuple(w))
-    if f.type is not WeylType.A:
-        for i in range(r):
-            for j in range(i + 1, r):
-                w = list(ident)
-                w[i], w[j] = -(j + 1), -(i + 1)
-                out.append(tuple(w))
-    if f.type is WeylType.BC:
-        for i in range(r):
-            w = list(ident)
-            w[i] = -(i + 1)
-            out.append(tuple(w))
-    return out
+def _factor_simple_roots(f: Factor) -> list[tuple[int, ...]]:
+    """The positive roots that are not the sum of two positive roots, in
+    positive-root order: e_i - e_{i+1}, then 2e_r on BC or e_{r-1} + e_r
+    on D (Humphreys, Reflection Groups and Coxeter Groups, Sections 1.2-1.5)."""
+    pos = _factor_positive_roots(f)
+    sums = {tuple(map(sum, zip(a, b))) for a, b in itertools.combinations(pos, 2)}
+    return [beta for beta in pos if beta not in sums]
 
 
-def _embed(local: tuple[int, ...], offset: int, dim: int) -> tuple[int, ...]:
-    v = [0] * dim
-    v[offset : offset + len(local)] = local
-    return tuple(v)
+def _reflection(group: GroupDescriptor, beta: Sequence[int]) -> SignedPermutation:
+    """s_beta(x) = x - 2<x,beta>/<beta,beta> beta as the window of the
+    signed unit vectors s_beta(e_i): every root here has <beta,beta> 2 or
+    4, so the division is exact."""
+    norm = sum(c * c for c in beta)
+    window = []
+    for i, b in enumerate(beta):
+        image = [-2 * b * c // norm for c in beta]
+        image[i] += 1
+        window.extend(c * (j + 1) for j, c in enumerate(image) if c)
+    return SignedPermutation(group, tuple(window))
 
 
 def is_negative_root_vector(vec: Sequence[Scalar]) -> bool:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -378,9 +379,16 @@ def test_singular_matrix_exits_4(capsys):
         ("sample", "--n", "2", "--seed", "0", "--kind", "sparse", "--density", "5"),
         ("two-element", "--group", "A2", "--pair", "[[1,2,3],[1,2,3]]"),
         ("table", "--group", "A2", "--subset", "[[1,2,3],[1,3,2]]", "--side", "max"),
+        ("retract", "--group", "A2", "--subset", "[[1,2,3],[1,3,2]]", "--at", "[3,2,1]",
+         "--method", "closest", "--side", "max"),
+        ("table", "--matrix", DEMO_2, "--method", "limit", "--side", "max"),
+        ("fan", "--matrix", DEMO_2, "--method", "limit", "--side", "max"),
+        ("query", "--matrix", DEMO_2, "--method", "limit", "--side", "max",
+         "--point", '["0","1","2"]'),
     ],
     ids=["non-square", "sample-n-0", "sample-density-negative", "sample-density-above-1",
-         "two-element-equal", "table-side-max"],
+         "two-element-equal", "table-side-max", "retract-closest-side-max",
+         "table-limit-side-max", "fan-limit-side-max", "query-limit-side-max"],
 )
 def test_unsupported_inputs_exit_4(capsys, argv):
     code = main(list(argv))
@@ -388,6 +396,21 @@ def test_unsupported_inputs_exit_4(capsys, argv):
     assert code == 4
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("group", ["A2999", "A4999999"])
+def test_matroid_scan_on_a_huge_group_exits_4(capsys, group):
+    # the order of S3000 has more digits than int-to-str converts, and
+    # that of S5000000 takes minutes to multiply out: the cap check stops
+    # multiplying once the product passes the cap
+    t0 = time.perf_counter()
+    code = main(["matroid", "scan", "--group", group, "--count", "1"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "cap 1000000" in captured.err
+    assert elapsed < 2
 
 
 def test_verify_threads_option_is_gone(capsys):

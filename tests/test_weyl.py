@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,79 @@ def test_reflections_and_roots():
         for t in refl:
             assert compose(t, t) == g.identity()
             assert length(t) % 2 == 1
+
+
+@pytest.mark.parametrize(
+    "factors,simple_roots,simple_reflections",
+    [
+        (
+            [("A", 4)],
+            ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)),
+            ((2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3)),
+        ),
+        (
+            [("BC", 3)],
+            ((1, -1, 0), (0, 1, -1), (0, 0, 2)),
+            ((2, 1, 3), (1, 3, 2), (1, 2, -3)),
+        ),
+        (
+            [("D", 4)],
+            ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)),
+            ((2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3), (1, 2, -4, -3)),
+        ),
+        ([("D", 2)], ((1, -1), (1, 1)), ((2, 1), (-2, -1))),
+        (
+            [("A", 2), ("BC", 2)],
+            ((1, -1, 0, 0), (0, 0, 1, -1), (0, 0, 0, 2)),
+            ((2, 1, 3, 4), (1, 2, 4, 3), (1, 2, 3, -4)),
+        ),
+    ],
+    ids=["A4", "BC3", "D4", "D2", "A2xBC2"],
+)
+def test_simple_roots_and_reflections_are_pinned(factors, simple_roots, simple_reflections):
+    # written out by hand, since the BFS and covering oracles are built
+    # from these same generators
+    g = GroupDescriptor(tuple(Factor(WeylType(t), r) for t, r in factors))
+    assert g.simple_roots() == simple_roots
+    assert tuple(s.window for s in g.simple_reflections()) == simple_reflections
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        GroupDescriptor.simple("A", 4),
+        GroupDescriptor.simple("BC", 3),
+        GroupDescriptor.simple("D", 4),
+        mixed_group(),
+    ],
+    ids=["A4", "BC3", "D4", "A3xBC2"],
+)
+def test_reflections_obey_the_reflection_law(group):
+    """act_on_vector(s_beta, gamma) = gamma - 2<gamma,beta>/<beta,beta> beta
+    for every positive root beta and every root gamma, with one distinct
+    reflection per positive root."""
+    positive = group.positive_roots()
+    refl = group.reflections()
+    assert len(refl) == len(positive) == len({t.window for t in refl})
+    for beta, t in zip(positive, refl):
+        norm = sum(b * b for b in beta)
+        for gamma in group.all_roots():
+            k = Fraction(2 * sum(c * b for c, b in zip(gamma, beta)), norm)
+            assert act_on_vector(t, gamma) == tuple(c - k * b for c, b in zip(gamma, beta))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [GroupDescriptor.simple("A", r) for r in range(1, 6)]
+    + [GroupDescriptor.simple("BC", r) for r in range(2, 6)]
+    + [GroupDescriptor.simple("D", r) for r in range(2, 7)]
+    + [mixed_group()],
+    ids=lambda g: "x".join(f"{f.type.value}{f.rank}" for f in g.factors),
+)
+def test_longest_element_sends_every_positive_root_negative(group):
+    # R(w0), the roots w0^-1 sends negative, is exactly the positive roots,
+    # the first half of all_roots()
+    assert root_set(longest_element(group)) == (1 << len(group.positive_roots())) - 1
 
 
 # --- Bruhat order ----------------------------------------------------------
