@@ -661,11 +661,12 @@ def _reflection(group: GroupDescriptor, beta: Sequence[int]) -> SignedPermutatio
     signed unit vectors s_beta(e_i): every root here has <beta,beta> 2 or
     4, so the division is exact."""
     norm = sum(c * c for c in beta)
-    window = []
+    window = list(range(1, len(beta) + 1))
     for i, b in enumerate(beta):
-        image = [-2 * b * c // norm for c in beta]
-        image[i] += 1
-        window.extend(c * (j + 1) for j, c in enumerate(image) if c)
+        if b:
+            image = [-2 * b * c // norm for c in beta]
+            image[i] += 1
+            (window[i],) = (c * (j + 1) for j, c in enumerate(image) if c)
     return SignedPermutation(group, tuple(window))
 
 
