@@ -10,12 +10,13 @@ on a tableau that holds no artificial columns; and convex hulls in any
 dimension by integer double description.  The hull's integral coordinate
 chart of the affine hull, its affinely independent start points and its
 start rays all come from that same elimination: the chart and the start
-are its pivot columns, the rays its null spaces.  Each facet carries the
-bitmask of the points on it; vertices and edges are read off those masks,
-and an edge is certified by the sum of the normals of its facets.  The
-edge LP, which cross-checks the hull, is solved as its Farkas dual: a
-convex combination of the other points on the line through the pair, d+1
-rows over one column per point.
+are its pivot columns, and the start rays are read off the identity
+columns appended to the elimination that finds the start.  Each facet
+carries the bitmask of the points on it; vertices and edges are read off
+those masks, and an edge is certified by the sum of the normals of its
+facets.  The edge LP, which cross-checks the hull, is solved as its
+Farkas dual: a convex combination of the other points on the line through
+the pair, d+1 rows over one column per point.
 """
 
 from __future__ import annotations
@@ -397,14 +398,16 @@ def _double_description(pts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
     ray strictly inside it, when the two are adjacent: no third ray is
     tight on every point that both are tight on.
     """
-    d = len(pts[0])
+    d, n = len(pts[0]), len(pts)
     rows = [(*p, -1) for p in pts]
-    # the first d + 1 rows that are linearly independent: the pivot columns
-    # of their transpose
-    start = _row_reduce(list(zip(*rows)), len(rows))[1]
+    # one elimination of [rows^T | I]: its pivots are the first d + 1
+    # independent rows, and the appended part T of the reduced rows has T S
+    # diagonal for S those rows, so row i of T is the ray opposite row i
+    eye = [[int(k == c) for k in range(d + 1)] for c in range(d + 1)]
+    reduced, start = _row_reduce([(*col, *e) for col, e in zip(zip(*rows), eye)], n + d + 1)
     rays = []
-    for j in start:
-        (ray,) = nullspace_basis([rows[k] for k in start if k != j], d + 1)
+    for j, row in zip(start, reduced):
+        ray = _primitive(list(row[n:]))
         if _dot(rows[j], ray) > 0:
             ray = tuple(-v for v in ray)
         rays.append((ray, sum(1 << k for k in start if k != j)))

@@ -6,7 +6,8 @@ test suite and the `verify` command:
 * order route: M is accepted when for every base element u the translate
   u^-1 M has a unique Bruhat extremum;
 * polytope route: M is accepted when every edge of the convex hull of the
-  orbit {w . nu : w in M} of a regular point nu is parallel to a root.
+  orbit {w . nu : w in M} is parallel to a root, nu being
+  `default_base_point`, an integer point interior to the identity chamber.
 
 A third route for the order itself: on types A and BC the shifted Bruhat
 order is equivalent to prefix-set dominance in the Gale order the base
@@ -19,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DescriptorMismatch, PreconditionError
-from .exact import Rat, certifies_edge, hull_edges, integer_primitive
-from .exact import _integer_points, _lp_edge_feasible
+from .exact import _lp_edge_feasible, certifies_edge, hull_edges, integer_primitive
 from .retraction import SubsetM, _extremal_sets, algebraic_retract, closest_set
 from .retraction import _extremal_elements  # noqa: F401  (bench/spans.py traces the scan by this name)
 from .weyl import (
@@ -32,7 +32,6 @@ from .weyl import (
     WeylType,
     act_on_vector,
     bruhat_leq,
-    chamber_of,
     compose,
     default_base_point,
     elements,
@@ -72,22 +71,11 @@ def is_coxeter_matroid(M: SubsetM, side: str = "max") -> MatroidVerdict:
 
 # --- Orbit polytope route -------------------------------------------------
 
-def orbit_points(
-    M: SubsetM, nu: Sequence[Rat] | None = None
-) -> tuple[tuple[tuple[Rat, ...], ...], tuple[Rat, ...]]:
-    if nu is None:
-        nu = default_base_point(M.group)
-    nu = tuple(nu)
-    # a point from any other chamber would test a right translate of M
-    # instead of M itself, and right translates do not preserve the property
-    if chamber_of(nu, M.group) != M.group.identity():
-        raise PreconditionError(
-            f"base point {nu} is not interior to the identity chamber"
-        )
-    points = tuple(act_on_vector(w, nu) for w in M)
-    if len(set(points)) != len(points):
-        raise PreconditionError(f"base point {nu} is not regular for this subset")
-    return points, nu
+def orbit_points(M: SubsetM) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The orbit {w . nu : w in M} of nu = `default_base_point`, and nu.  A
+    point of another chamber would test a right translate of M instead."""
+    nu = default_base_point(M.group)
+    return tuple(act_on_vector(w, nu) for w in M), nu
 
 
 @dataclass(frozen=True)
@@ -96,21 +84,23 @@ class PhiReport:
     vertices: tuple[SignedPermutation, ...]
     edges: tuple[tuple[SignedPermutation, SignedPermutation], ...]
     offending: tuple[tuple[SignedPermutation, SignedPermutation], ...]
-    nu: tuple[Rat, ...]
+    nu: tuple[int, ...]
 
 
-def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport:
-    """Hull the orbit of a regular point and test every edge direction for
-    parallelism with a root.
+def phi_polytope_check(M: SubsetM) -> PhiReport:
+    """Hull the orbit of `default_base_point` and test every edge
+    direction for parallelism with a root.  The verdict is the same at
+    every point interior to the identity chamber (Gelfand-Serganova;
+    Borovik, Gelfand and White, Coxeter Matroids, ch. 6).
 
     Each offending edge is certified by the sum of the normals of the
     facets through it, checked by integer dot products to be tight on the
     edge's two points alone, so a reported failure always carries a
     certificate.  The combinatorial hull is also cross-checked against
     the LP of `lp_edge_feasible` on every pair when the orbit has at most
-    `LP_CROSSCHECK_LIMIT` points, on the points scaled to integers once.
+    `LP_CROSSCHECK_LIMIT` points, which are integers.
     """
-    points, nu = orbit_points(M, nu)
+    points, nu = orbit_points(M)
     hull = hull_edges(points)
     # points of one orbit lie on a sphere, so each must come back a vertex
     if len(hull.vertices) != len(points):
@@ -132,9 +122,8 @@ def phi_polytope_check(M: SubsetM, nu: Sequence[Rat] | None = None) -> PhiReport
             )
     if len(points) <= LP_CROSSCHECK_LIMIT:
         edge_set = set(hull.edges)
-        scaled, _ = _integer_points(points)
         for i, j in itertools.combinations(range(len(points)), 2):
-            if _lp_edge_feasible(scaled, i, j) != ((i, j) in edge_set):
+            if _lp_edge_feasible(points, i, j) != ((i, j) in edge_set):
                 raise AssertionError(
                     f"hull and LP disagree on pair ({list(members[i].window)},"
                     f" {list(members[j].window)})"
@@ -224,6 +213,17 @@ class TwoElementReport:
         return self.closest_route == self.matroid_route == self.reflection_route
 
 
+def _is_reflection(d: SignedPermutation) -> bool:
+    """Whether d is a reflection, read off its window: d moves either one
+    letter i, to -i (the root e_i or 2e_i), or two letters i != j, to
+    d(i) = s j and d(j) = s i for one sign s (the root e_i - s e_j)."""
+    moved = [(i, v) for i, v in enumerate(d.window, start=1) if v != i]
+    if len(moved) == 2:
+        (i, a), (j, b) = moved
+        return abs(a) == j and abs(b) == i and (a > 0) == (b > 0)
+    return len(moved) == 1 and moved[0][1] == -moved[0][0]
+
+
 def two_element_analysis(x: SignedPermutation, y: SignedPermutation) -> TwoElementReport:
     if x.group != y.group:
         raise DescriptorMismatch(f"{x.group} != {y.group}")
@@ -237,8 +237,5 @@ def two_element_analysis(x: SignedPermutation, y: SignedPermutation) -> TwoEleme
             closest_route = False
             break
     matroid_route = is_coxeter_matroid(M).is_matroid
-    diff = compose(inverse(x), y)
-    reflection_route = any(
-        diff.window == t.window for t in x.group.reflections()
-    )
+    reflection_route = _is_reflection(compose(inverse(x), y))
     return TwoElementReport(closest_route, matroid_route, reflection_route)

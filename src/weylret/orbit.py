@@ -35,6 +35,9 @@ from .exact import Rat, RationalMatrix, clear_denominators
 from .retraction import RetractionTable, SubsetM
 from .weyl import GroupDescriptor, SignedPermutation, WeylType, act_on_vector, elements
 
+# singular draws `sample_rational_point` makes before it gives up
+SAMPLE_TRIES = 1000
+
 
 @lru_cache(maxsize=16)
 def _type_a_group(n: int) -> GroupDescriptor:
@@ -199,10 +202,9 @@ def sample_rational_point(
     seed: int,
     kind: str = "generic",
     density: Fraction | float = Fraction(1, 2),
-    max_tries: int = 1000,
 ) -> RationalMatrix:
     """Seeded random invertible rational matrices, raising `GiveUp` after
-    `max_tries` singular draws.
+    `SAMPLE_TRIES` singular draws.
 
     kind "generic": every entry a small random rational; "sparse": entries
     zeroed with probability 1 - density to force degenerate supports.
@@ -220,10 +222,10 @@ def sample_rational_point(
             return Fraction(0)
         return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
 
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         mat = RationalMatrix(
             tuple(tuple(entry() for _ in range(n)) for _ in range(n))
         )
         if mat.det() != 0:
             return mat
-    raise GiveUp(f"no suitable matrix in {max_tries} draws (kind={kind!r}, n={n})")
+    raise GiveUp(f"no suitable matrix in {SAMPLE_TRIES} draws (kind={kind!r}, n={n})")

@@ -45,7 +45,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DescriptorMismatch, NotAMatroidAt, NotAProduct, ParseError
+from .errors import DescriptorMismatch, NotAMatroidAt, NotAProduct
 from .weyl import (
     GroupDescriptor,
     SignedPermutation,
@@ -152,20 +152,6 @@ class SubsetM:
         """Per factor and level, the row in `prefix_sets` of each member's
         set, in the order of `elements`."""
         return self._prefixes[1]
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.to_json(),
-            "elements": [list(w.window) for w in self.elements],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SubsetM":
-        try:
-            group = GroupDescriptor.from_json(data["group"])
-            return cls.from_windows(group, data["elements"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad subset payload: {exc}") from exc
 
 
 # Most (row, member) pairs one chunk of the extremal scan compares at once,
@@ -448,21 +434,17 @@ def _unique_extremum(
     raise NotAMatroidAt(u, extremal)
 
 
-def matroid_retract(
-    M: SubsetM,
-    u: SignedPermutation,
-    side: str = "min",
-    greedy_first: bool = True,
-) -> SignedPermutation:
+def matroid_retract(M: SubsetM, u: SignedPermutation, side: str = "min") -> SignedPermutation:
     """The unique element of M whose translate u^-1 v is Bruhat-least
     (side "min") or -greatest ("max") in u^-1 M; raises `NotAMatroidAt`
-    listing the extremal elements when there is no unique one.  With
-    `greedy_first`, the extremum read off M's prefix-set bounds
-    (`_extrema`) is tried before the scan."""
+    listing the extremal elements when there is no unique one.  The
+    extremum read off M's prefix-set bounds (`_extrema`) is tried first,
+    and the quadratic scan `_extremal_elements` runs only when none is
+    found there."""
     _check_base(M, u)
     if side not in ("min", "max"):
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
-    return _unique_extremum(u, next(_extremal_sets(M, (u,), side, greedy_first)))
+    return _unique_extremum(u, next(_extremal_sets(M, (u,), side, greedy_first=True)))
 
 
 def closest_set(
@@ -535,26 +517,6 @@ class RetractionTable:
             "targets": [list(t.window) for t in self.targets],
             "map": [[list(u.window), list(v.window)] for u, v in self.mapping],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RetractionTable":
-        """The table of a JSON payload whose "map" lists each element of the
-        group once, in any order."""
-        try:
-            group = GroupDescriptor.from_json(data["group"])
-            targets = tuple(group.element(w) for w in data["targets"])
-            position = {u.window: k for k, u in enumerate(elements(group))}
-            images: list[SignedPermutation | None] = [None] * len(position)
-            for u, v in data["map"]:
-                k = position[group.element(u).window]
-                if images[k] is not None:
-                    raise ValueError(f"duplicate base element {u}")
-                images[k] = group.element(v)
-            # a missing base element leaves a gap, which the length check reports
-            images = [v for v in images if v is not None]
-            return cls(group, targets, images, provenance=data.get("provenance", ""))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad table payload: {exc}") from exc
 
 
 def retraction_table(

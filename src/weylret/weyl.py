@@ -241,9 +241,6 @@ class SignedPermutation:
             out.append(tuple(v - off if v > 0 else v + off for v in seg))
         return tuple(out)
 
-    def to_json(self) -> list[int]:
-        return list(self.window)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SignedPermutation({list(self.window)})"
 
@@ -438,25 +435,24 @@ def _factor_windows(f: Factor) -> Iterator[tuple[int, ...]]:
     yield from rec((), 0, r * (r + 1) // 2, 0)
 
 
-def _order_exceeds(descriptor: GroupDescriptor, cap: int) -> bool:
-    """Whether the group order passes cap, multiplied up one step at a time
-    and stopped once it does: the order of a large group takes long to
-    compute and has too many digits to print."""
+def _order_exceeds_cap(descriptor: GroupDescriptor) -> bool:
+    """Whether the group order passes `DEFAULT_ENUMERATION_CAP`, multiplied
+    up one step at a time and stopped once it does: the order of a large
+    group takes long to compute and has too many digits to print."""
     total = 1
     for f in descriptor.factors:
         # r! on A, 2^r r! on BC and 2^(r-1) r! on D, as factors k or 2k
         for k in range(1, f.rank + 1):
             total *= k if f.type is WeylType.A or (k == 1 and f.type is WeylType.D) else 2 * k
-            if total > cap:
+            if total > DEFAULT_ENUMERATION_CAP:
                 return True
     return False
 
 
-def enumerate_group(
-    descriptor: GroupDescriptor, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[SignedPermutation]:
+def enumerate_group(descriptor: GroupDescriptor) -> Iterator[SignedPermutation]:
     """All elements, windows in lexicographic order under `order_key`."""
-    if _order_exceeds(descriptor, cap):
+    if _order_exceeds_cap(descriptor):
+        cap = DEFAULT_ENUMERATION_CAP
         raise EnumerationCapExceeded(f"group order exceeds the enumeration cap {cap}")
     streams = []
     for off, f in descriptor.segments():

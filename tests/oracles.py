@@ -16,6 +16,8 @@ weight of every support set summed anew at every level, the canonical
 sort key from `order_key` on each factor's local window, and the Bruhat
 rows and type-D parity keys of the order route from each translate's own
 ranks rather than from the distinct prefix sets the library translates.
+`scan_retract` is the order route's retraction by its quadratic scan
+alone, without the extremum read off first.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from sympy import Rational as SymRational
 from sympy.geometry import Point2D, Polygon, Segment2D, convex_hull
 
-from weylret.errors import PreconditionError, TieDetected
+from weylret.errors import NotAMatroidAt, PreconditionError, TieDetected
 from weylret.exact import (
     Membership,
     RationalMatrix,
@@ -37,7 +39,7 @@ from weylret.exact import (
 )
 from weylret.fan import FanCone
 from weylret.orbit import PluckerSupport
-from weylret.retraction import _parity_table
+from weylret.retraction import SubsetM, _extremal_elements, _parity_table
 from weylret.weyl import (
     GroupDescriptor,
     SignedPermutation,
@@ -319,3 +321,14 @@ def parity_keys(r: int, ranks: np.ndarray) -> np.ndarray:
     high, low_bars, high_bars = np.moveaxis(table[ranks].cumsum(axis=-3), -2, 0)
     keys = np.where(high == full, 2 * low_bars + (high_bars & 1), -1)
     return keys[..., kept]
+
+
+def scan_retract(M: SubsetM, u: SignedPermutation, side: str = "min") -> SignedPermutation:
+    """`retraction.matroid_retract` by the scan of every member
+    (`_extremal_elements`), with no extremum read off M's prefix-set bounds
+    first; raises `NotAMatroidAt` with the extremal elements when there is
+    no unique one."""
+    (extremal,) = _extremal_elements(M, [u], side)
+    if len(extremal) != 1:
+        raise NotAMatroidAt(u, extremal)
+    return extremal[0]

@@ -353,7 +353,7 @@ def test_criterion_11_oracle_suites(s3):
                 in_sym = frozenset((tuple(pts2[i]), tuple(pts2[j]))) in sym
                 in_lp = lp_edge_feasible(pts2, i, j)
                 if not (in_pkg == in_sym == in_lp):
-                    bad.append(("edge", M.to_json()["elements"], i, j, in_pkg, in_sym, in_lp))
+                    bad.append(("edge", [list(w.window) for w in M], i, j, in_pkg, in_sym, in_lp))
 
     secs = time.perf_counter() - t0
     ok = not bad

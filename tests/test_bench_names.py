@@ -5,8 +5,10 @@ on, which would zero that layer's metrics; this test makes such a rename
 fail instead.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -16,6 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def _traced():
@@ -89,3 +92,44 @@ def test_traced_order_route_runs():
     assert metrics["retraction.matroid_retract.calls"] == 8
     assert metrics["retraction.greedy_confirm.attempts"] == 1
     assert metrics["matroid.extremal_scan.calls"] > 0
+
+
+def test_workload_keywords_are_parameters():
+    # the benchmark's files are frozen between benchmark changes: a keyword
+    # that a workload passes through `out.attempt(label, fn, ...)` must stay
+    # a parameter of fn, or that workload fails only when the benchmark runs
+    tree = ast.parse(WORKLOADS.read_text())
+    imported = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("weylret")
+        for alias in node.names
+    }
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            module, name = imported[expr.id]
+            try:
+                return importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                return getattr(importlib.import_module(module), name)
+        return getattr(resolve(expr.value), expr.attr)
+
+    checked, unknown = [], []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "attempt"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "out"
+        ):
+            continue
+        fn = resolve(node.args[1])
+        params = inspect.signature(fn).parameters
+        for kw in node.keywords:
+            checked.append((fn.__name__, kw.arg))
+            if kw.arg not in params:
+                unknown.append(f"line {node.lineno}: {fn.__qualname__}({kw.arg}=...)")
+    assert not unknown, unknown
+    assert ("retraction_table", "greedy_first") in checked

@@ -245,6 +245,21 @@ def test_matroid_polytope_in_rank_4_matches_matroid_check(capsys):
     assert poly["is_phi"] == check["is_matroid"]
 
 
+def test_matroid_polytope_on_a_large_group_is_quick(capsys):
+    # the orbit of two members of S100 is a segment along a root; building
+    # it needs no walk over the chambers, whose walls cost quartic time in
+    # the rank to set up
+    identity = list(range(1, 101))
+    subset = json.dumps([identity, [2, 1] + identity[2:]])
+    t0 = time.perf_counter()
+    code, poly = run(capsys, "matroid", "polytope", "--group", "A99", "--subset", subset)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert poly["is_phi"] and len(poly["edges"]) == 1 and not poly["offending"]
+    assert poly["base_point"] == [str(c) for c in range(100)]
+    assert elapsed < 5
+
+
 def test_matroid_scan_agrees(capsys):
     code, data = run(
         capsys,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hull_edges_2d, lp_edge_primal, lp_feasible, minor
+from weylret import exact
 from weylret.errors import ParseError, PreconditionError
 from weylret.exact import (
     Membership,
@@ -502,6 +503,38 @@ def test_hull_edges_5_cube():
     assert len(hull.facets) == 10
     assert len(hull.edges) == 80
     assert all(sum(a != b for a, b in zip(pts[i], pts[j])) == 1 for i, j in hull.edges)
+
+
+def test_hull_start_rays_come_from_one_elimination(monkeypatch):
+    # the start of the double description reads the rays of its simplex
+    # off one elimination; on a simplex they are all the facets, each the
+    # null-space ray of the other points' rows (p, -1), signed to point
+    # away from its own point
+    rng = random.Random(21)
+    simplices = []
+    while len(simplices) < 40:
+        d = rng.randint(1, 5)
+        pts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d + 1)]
+        if len(_row_reduce([(*p, -1) for p in pts], d + 1)[1]) == d + 1:
+            simplices.append(pts)
+    expected = []
+    for pts in simplices:
+        rows = [(*p, -1) for p in pts]
+        rays = []
+        for j, row in enumerate(rows):
+            (ray,) = nullspace_basis(rows[:j] + rows[j + 1:], len(row))
+            if sum(a * b for a, b in zip(row, ray)) > 0:
+                ray = tuple(-v for v in ray)
+            rays.append(ray)
+        expected.append(rays)
+
+    def refuse(*args):
+        raise AssertionError("hull_edges called nullspace_basis")
+
+    monkeypatch.setattr(exact, "nullspace_basis", refuse)
+    for pts, rays in zip(simplices, expected):
+        assert [(*f.normal, f.offset) for f in hull_edges(pts).facets] == rays, pts
+    hull_edges(list(itertools.product((-1, 1), repeat=4)))
 
 
 def test_hull_facets_of_rational_points():

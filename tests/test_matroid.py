@@ -6,7 +6,6 @@ import sys
 import textwrap
 import time
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylret
-from oracles import covering_closure, oracle_leq
-from weylret.errors import BoundaryPoint, NotAMatroidAt, PreconditionError
+from oracles import covering_closure, oracle_leq, scan_retract
+from weylret.errors import NotAMatroidAt
 from weylret.exact import Hull, certifies_edge, hull_edges, lp_edge_feasible
 from weylret.matroid import (
+    _is_reflection,
     bruhat_interval,
     default_base_point,
     fano_matroid_s7,
@@ -29,7 +29,7 @@ from weylret.matroid import (
     two_element_analysis,
 )
 from weylret import retraction
-from weylret.retraction import SubsetM, _extremal_elements, matroid_retract
+from weylret.retraction import SubsetM, _extremal_elements
 from weylret.suites import run_suite
 from weylret.weyl import (
     Factor,
@@ -90,18 +90,13 @@ def test_min_and_max_verdicts_agree(s3, bc2):
 
 
 def test_default_base_point_lies_in_identity_chamber():
-    for typ, rank in [("A", 4), ("BC", 3), ("D", 3), ("D", 4)]:
-        g = GroupDescriptor.simple(typ, rank)
-        assert chamber_of(default_base_point(g), g) == g.identity()
-
-
-def test_orbit_points_rejects_wrong_chamber(bc2):
-    M = SubsetM(bc2, elements(bc2))
-    # regular, but in another chamber: it would test a right translate
-    with pytest.raises(PreconditionError):
-        orbit_points(M, (1, 2))
-    with pytest.raises(BoundaryPoint):
-        orbit_points(M, (3, 3))
+    # the polytope route builds every orbit at this point without checking
+    # it, so it must be interior to the identity chamber on every type
+    groups = [GroupDescriptor.simple("A", n) for n in range(1, 8)]
+    groups += [GroupDescriptor.simple(t, r) for t in ("BC", "D") for r in range(2, 7)]
+    groups.append(GroupDescriptor((Factor(WeylType.A, 3), Factor(WeylType.BC, 2))))
+    for g in groups:
+        assert chamber_of(default_base_point(g), g) == g.identity(), g
 
 
 def test_phi_full_group_and_pairs(s3):
@@ -287,6 +282,21 @@ def test_two_element_hand_values(s4):
     assert rep.closest_route and rep.matroid_route and rep.reflection_route
 
 
+def test_reflection_route_reads_the_window_as_the_root_data_would():
+    # the third route reads "x^-1 y is a reflection" off the window alone;
+    # the reflections built from the positive roots must say the same
+    groups = [
+        GroupDescriptor.simple(WeylType.A, 5),
+        GroupDescriptor.simple(WeylType.BC, 3),
+        GroupDescriptor.simple(WeylType.D, 4),
+        GroupDescriptor((Factor(WeylType.A, 2), Factor(WeylType.BC, 2))),
+    ]
+    for g in groups:
+        reflections = {t.window for t in g.reflections()}
+        for w in elements(g):
+            assert _is_reflection(w) == (w.window in reflections), (g, w)
+
+
 # --- one extremum scan behind both callers ----------------------------------
 
 _SMALL_GROUPS = [
@@ -314,7 +324,7 @@ def test_verdict_failures_are_exactly_the_retract_failures(M, side):
     raised = {}
     for u in elements(M.group):
         try:
-            matroid_retract(M, u, side=side, greedy_first=False)
+            scan_retract(M, u, side=side)
         except NotAMatroidAt as exc:
             raised[u.window] = tuple(v.window for v in exc.minimals)
     assert raised == failures
@@ -377,9 +387,8 @@ def test_phi_raises_on_a_failed_certificate(s4, monkeypatch):
         phi_polytope_check(M)
 
 
-def test_phi_lp_crosscheck_scales_once_and_runs_on_every_pair(s3, monkeypatch):
-    # a fractional base point: the orbit is scaled to integers once, and
-    # every pair of the orbit still goes to the LP
+def test_phi_lp_crosscheck_runs_on_every_pair(s3, monkeypatch):
+    # every pair of the orbit goes to the LP, on the integer orbit points
     calls = []
     core = weylret.matroid._lp_edge_feasible
 
@@ -389,12 +398,14 @@ def test_phi_lp_crosscheck_scales_once_and_runs_on_every_pair(s3, monkeypatch):
 
     monkeypatch.setattr(weylret.matroid, "_lp_edge_feasible", counted)
     M = SubsetM(s3, elements(s3))
-    report = phi_polytope_check(M, (Fraction(0), Fraction(1, 2), Fraction(4, 3)))
+    report = phi_polytope_check(M)
     assert report.is_phi and len(report.edges) == 6
+    assert report.nu == default_base_point(s3)
     assert [(i, j) for _, i, j in calls] == list(itertools.combinations(range(6), 2))
-    scaled = calls[0][0]
-    assert all(pts is scaled for pts, _, _ in calls)
-    assert all(type(v) is int for p in scaled for v in p)
+    points = calls[0][0]
+    assert points == orbit_points(M)[0]
+    assert all(pts is points for pts, _, _ in calls)
+    assert all(type(v) is int for p in points for v in p)
 
 
 def test_gs_rank4_suite_small():

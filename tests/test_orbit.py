@@ -13,6 +13,7 @@ from oracles import (
 from weylret.errors import GiveUp, PreconditionError, SingularMatrix, TieDetected
 from weylret.exact import RationalMatrix
 from weylret.orbit import (
+    SAMPLE_TRIES,
     PluckerSupport,
     fixed_points,
     geometric_table,
@@ -178,10 +179,9 @@ def test_sample_rational_point_determinism():
 
 
 def test_sample_rational_point_give_up():
-    with pytest.raises(GiveUp):
-        sample_rational_point(
-            3, seed=1, kind="sparse", density=Fraction(0), max_tries=5
-        )
+    # density 0 draws only the zero matrix, so every one of the draws fails
+    with pytest.raises(GiveUp, match=f"in {SAMPLE_TRIES} draws"):
+        sample_rational_point(3, seed=1, kind="sparse", density=Fraction(0))
 
 
 def test_sample_rational_point_bad_kind():

@@ -12,6 +12,7 @@ from oracles import (
     covering_closure,
     oracle_leq,
     parity_keys,
+    scan_retract,
     sorted_prefix_rows,
 )
 from weylret import retraction
@@ -20,7 +21,6 @@ from weylret.errors import (
     EnumerationCapExceeded,
     NotAMatroidAt,
     NotAProduct,
-    ParseError,
 )
 from weylret.exact import RationalMatrix
 from weylret.matroid import MatroidVerdict, bruhat_interval, fano_matroid_s7, is_coxeter_matroid
@@ -74,13 +74,6 @@ def test_subset_canonical_and_dedup(s3):
     assert [w.window for w in M] == [(1, 2, 3), (3, 2, 1)]
     assert SignedPermutation(s3, (1, 2, 3)) in M
     assert SignedPermutation(s3, (2, 1, 3)) not in M
-
-
-def test_subset_json_round_trip(bc2):
-    M = subset(bc2, (-2, -1), (1, 2))
-    assert SubsetM.from_json(M.to_json()) == M
-    with pytest.raises(ParseError):
-        SubsetM.from_json({"group": bc2.to_json()})
 
 
 def test_is_product():
@@ -262,12 +255,12 @@ def test_greedy_first_agrees_with_scan(s4):
         M = SubsetM(s4, tuple(rng.sample(pool, rng.randint(1, len(pool)))))
         u = rng.choice(pool)
         expected = brute_matroid_retract(M, u)
-        for flag in (True, False):
+        for route in (matroid_retract, scan_retract):
             if expected is None:
                 with pytest.raises(NotAMatroidAt):
-                    matroid_retract(M, u, greedy_first=flag)
+                    route(M, u)
             else:
-                assert matroid_retract(M, u, greedy_first=flag) == expected
+                assert route(M, u) == expected
 
 
 def test_min_max_duality(s3, bc2):
@@ -366,48 +359,16 @@ def test_retraction_table_demo_values(s3):
 def test_table_validation(s3):
     demo = subset(s3, (1, 2, 3), (3, 2, 1))
     table = retraction_table(demo)
-    data = table.to_json()
-    assert RetractionTable.from_json(data) == table
-    broken = dict(data)
-    broken["map"] = data["map"][:-1]
-    with pytest.raises(ParseError):  # no longer covers the group
-        RetractionTable.from_json(broken)
-    broken = dict(data)
-    broken["map"] = [
-        [u, ([2, 1, 3] if u == [1, 2, 3] else v)] for u, v in data["map"]
-    ]
-    with pytest.raises(ParseError):  # a target must stay fixed
-        RetractionTable.from_json(broken)
-    shuffled = dict(data, map=data["map"][::-1])
-    assert RetractionTable.from_json(shuffled) == table  # any order of the map
-    assert RetractionTable.from_json(shuffled).to_json() == data
-    broken = dict(data, map=data["map"][:-1] + data["map"][:1])
-    with pytest.raises(ParseError, match="duplicate"):  # each base element once
-        RetractionTable.from_json(broken)
-
-
-def test_from_json_refuses_non_integer_letters(s3):
-    # 1.0 and True pass the segment check (abs(1.0) == 1) but break compose
-    for bad in ([1.0, 2.0, 3.0], [True, 2, 3]):
-        with pytest.raises(ParseError, match="must be integers"):
-            SubsetM.from_json({"group": s3.to_json(), "elements": [bad]})
-    data = retraction_table(subset(s3, (1, 2, 3))).to_json()
-    for key in ("targets", "map"):
-        broken = dict(data)
-        if key == "targets":
-            broken["targets"] = [[1.0, 2.0, 3.0]]
-        else:
-            broken["map"] = [[u, [float(x) for x in v]] for u, v in data["map"]]
-        with pytest.raises(ParseError, match="must be integers"):
-            RetractionTable.from_json(broken)
-
-
-@settings(max_examples=30, deadline=None)
-@given(M=product_subsets())
-def test_subset_and_table_json_round_trip_property(M):
-    assert SubsetM.from_json(M.to_json()) == M
-    table = retraction_table(M)
-    assert RetractionTable.from_json(table.to_json()) == table
+    images = list(table.images)
+    assert RetractionTable(s3, demo.elements, images) == table
+    with pytest.raises(ValueError, match="images"):  # no longer covers the group
+        RetractionTable(s3, demo.elements, images[:-1])
+    swapped = [s3.element((2, 1, 3))] + images[1:]
+    with pytest.raises(ValueError, match="not a target"):  # images lie in the targets
+        RetractionTable(s3, demo.elements, swapped)
+    fixed_wrong = [s3.element((3, 2, 1))] + images[1:]
+    with pytest.raises(ValueError, match="not fixed"):  # a target must stay fixed
+        RetractionTable(s3, demo.elements, fixed_wrong)
 
 
 def test_table_retract_lookup(s3):
@@ -509,7 +470,7 @@ def test_fano_scan_agrees_with_greedy_first():
     M = fano_matroid_s7()
     assert retraction._SCAN_BUDGET // len(M) < len(M)
     u = elements(M.group)[1234]
-    assert matroid_retract(M, u, greedy_first=False) == matroid_retract(M, u)
+    assert scan_retract(M, u) == matroid_retract(M, u)
 
 
 # --- the order route batched over base elements -------------------------------
@@ -634,7 +595,7 @@ def test_order_route_never_calls_the_greedy_route(monkeypatch):
             )
             verdicts.append(MatroidVerdict(not failures, side, failures))
         table = _outcome(retraction_table, M, method="matroid", greedy_first=False)
-        retracts = [_outcome(matroid_retract, M, u, greedy_first=False) for u in us]
+        retracts = [_outcome(scan_retract, M, u) for u in us]
         return verdicts, table, retracts
 
     expected = [scan_answers(M) for M in cases]

@@ -27,6 +27,7 @@ from weylret.errors import (
 )
 from weylret.retraction import SubsetM, algebraic_retract
 from weylret.weyl import (
+    DEFAULT_ENUMERATION_CAP,
     Factor,
     GroupDescriptor,
     SignedPermutation,
@@ -593,10 +594,10 @@ def test_enumeration_is_the_sorted_brute_force_product(group):
 
 def test_enumeration_cap():
     huge = GroupDescriptor.simple(WeylType.BC, 10)
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(EnumerationCapExceeded, match=f"cap {DEFAULT_ENUMERATION_CAP}"):
         list(enumerate_group(huge))
-    # a bigger explicit cap lifts the guard
-    it = enumerate_group(GroupDescriptor.simple(WeylType.A, 7), cap=10**6)
+    # 7! = 5040 stays under the cap
+    it = enumerate_group(GroupDescriptor.simple(WeylType.A, 7))
     assert next(it).window == (1, 2, 3, 4, 5, 6, 7)
 
 
