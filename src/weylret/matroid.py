@@ -14,6 +14,8 @@ order is equivalent to prefix-set dominance in the Gale order the base
 element induces, which `flag_order_leq` computes from scratch.  On D the
 order is still read off prefix sets, but Gale dominance alone is too weak:
 it also needs a parity condition (see `retraction._set_parity_keys`).
+`bruhat_interval` filters with the scalar `bruhat_leq`, which tests the
+same criterion as the order route's kernel.
 """
 
 from __future__ import annotations

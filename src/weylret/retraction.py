@@ -225,7 +225,7 @@ def _translated_sets(levels: Sequence[np.ndarray], to_rank: np.ndarray) -> Itera
     GTM 231, Section 2.1 and Cor. 8.1.9), the test
     `weyl._bruhat_leq_prefix` makes on one pair.  On D factors this is
     condition (i) of the order, and `_set_parity_keys` gives condition
-    (ii)."""
+    (ii), which `weyl._parity_meets` tests on one pair."""
     n = (to_rank.shape[1] - 1) // 2
     at = np.arange(len(to_rank))[:, None, None]
     for sets in levels:
@@ -267,7 +267,8 @@ def _set_parity_keys(
     three counts are the sums of its letters' parity-table rows; so the
     rows of the factor's 2r letters are gathered once, and each level
     takes one integer product of them with its s_k x 2r 0/1 membership
-    matrix."""
+    matrix.  `weyl._parity_meets` is the one-pair form: the same keys of
+    two windows, compared the same way."""
     table, full, kept = _parity_table(r)
     n = (to_rank.shape[1] - 1) // 2
     b = len(to_rank)

@@ -16,13 +16,11 @@ sign change on the last two coordinates (extra simple root e_{n-1} + e_n).
 Length is the number of positive roots sent to negative roots, which the
 test suite pins against breadth-first word length over these generators.
 
-Bruhat order uses two algorithms, neither with a cache: on A and BC, the
-sorted-prefix test on letter ranks in the order above; on D, a chain of
-lifting-property steps along right descents.  The order route of
-`retraction` compares whole arrays instead: the sorted prefixes on every
-type, plus on D an integer parity criterion on prefixes
-(`retraction._set_parity_keys`); `_bruhat_leq_d` is the scalar reference
-that criterion is tested against.
+Bruhat order has one criterion on every type, with no cache: the
+sorted-prefix test on letter ranks in the order above, plus on D a parity
+condition on prefixes (`_parity_meets`).  The order route of `retraction`
+applies the same criterion to whole arrays: the sorted prefixes, and on D
+the parity keys of `retraction._set_parity_keys`.
 
 `root_set` gives the roots a chamber sees negative as one integer
 bitmask, so word distances are popcounts of an XOR; the fan and the
@@ -321,6 +319,7 @@ def _bruhat_leq_prefix(v: Sequence[int], w: Sequence[int]) -> bool:
     # the tableau criterion; B_n is the restriction of the order on the
     # permutations of that chain (Bjorner-Brenti, GTM 231, Cor. 8.1.9), and
     # since w(ibar) is the bar of w(i), prefixes longer than n add nothing.
+    # On D_n this is condition (i) of the order; `_parity_meets` is (ii).
     top = 2 * len(v) + 1
     sv: list[int] = []
     sw: list[int] = []
@@ -333,48 +332,42 @@ def _bruhat_leq_prefix(v: Sequence[int], w: Sequence[int]) -> bool:
     return True
 
 
-def _apply_simple_d(win: tuple[int, ...], s: int) -> tuple[int, ...]:
-    """Right multiplication of a type-D window by the s-th simple reflection, 0-based."""
-    w = list(win)
-    if s < len(w) - 1:
-        w[s], w[s + 1] = w[s + 1], w[s]
-    else:
-        w[-2], w[-1] = -w[-1], -w[-2]
-    return tuple(w)
+def _parity_key(prefix: Sequence[int], r: int, t: int) -> int:
+    # The key 2C + P of `retraction._set_parity_keys` at threshold t, or -1
+    # when the prefix misses a letter of absolute value >= t.
+    high = [a for a in prefix if abs(a) >= t]
+    if len(high) != r + 1 - t:
+        return -1
+    return 2 * sum(1 for a in prefix if -t < a < 0) + sum(1 for a in high if a < 0) % 2
 
 
-def _descent_d(win: tuple[int, ...], s: int) -> bool:
-    """True when right multiplication by simple s shortens a type-D window."""
-    if s < len(win) - 1:
-        a, b = win[s], win[s + 1]
-        return (abs(a) < abs(b) and a < 0) or (abs(a) > abs(b) and b > 0)
-    a, b = win[-2], win[-1]
-    return (abs(a) < abs(b) and a < 0) or (abs(a) > abs(b) and b < 0)
-
-
-def _bruhat_leq_d(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
-    # Lifting property: for s a right descent of w, v <= w iff
-    # (vs <= ws when s is a descent of v, else v <= ws).  Each step
-    # shortens w by one, so the chain ends within length(w) steps.
-    lv, lw = _length_signed(WeylType.D, v), _length_signed(WeylType.D, w)
-    while v != w:
-        if lv >= lw:
-            return False
-        s = next(s for s in range(len(w)) if _descent_d(w, s))
-        if _descent_d(v, s):
-            v = _apply_simple_d(v, s)
-            lv -= 1
-        w = _apply_simple_d(w, s)
-        lw -= 1
+def _parity_meets(v: Sequence[int], w: Sequence[int]) -> bool:
+    # Condition (ii) of Bruhat order on D_r (Bjorner-Brenti, GTM 231,
+    # Section 8.2) on one pair: at each prefix length k < r and threshold
+    # t with k + t > r where both prefixes hold every letter of absolute
+    # value >= t and the same number C of barred letters below t, they hold
+    # the same parity P of barred letters >= t.  So it fails where two keys
+    # differ in their last bit alone.  A prefix full at t is full at every
+    # larger t, so t runs down from r until one prefix is not.
+    r = len(v)
+    for k in range(1, r):
+        for t in range(r, r - k, -1):
+            kv, kw = _parity_key(v[:k], r, t), _parity_key(w[:k], r, t)
+            if kv ^ kw == 1:
+                return False
+            if min(kv, kw) < 0:
+                break
     return True
 
 
 def bruhat_leq(v: SignedPermutation, w: SignedPermutation) -> bool:
-    """Bruhat order; on products, the conjunction over factors."""
+    """Bruhat order; on products, the conjunction over factors: the
+    sorted-prefix test, and on D factors also `_parity_meets`."""
     _check_same_group(v, w)
     for f, lv, lw in zip(v.group.factors, v.local_windows(), w.local_windows()):
-        leq = _bruhat_leq_d if f.type is WeylType.D else _bruhat_leq_prefix
-        if not leq(lv, lw):
+        if not _bruhat_leq_prefix(lv, lw):
+            return False
+        if f.type is WeylType.D and not _parity_meets(lv, lw):
             return False
     return True
 
@@ -538,7 +531,7 @@ def _walls(group: GroupDescriptor) -> tuple[tuple, tuple[SignedPermutation, ...]
     read."""
     alphas = group.simple_roots()
     walls = tuple(tuple((i, -c) for i, c in enumerate(alpha) if c) for alpha in alphas)
-    return walls, tuple(_reflection(group, alpha) for alpha in alphas)
+    return walls, group.simple_reflections()
 
 
 def _wall_dots(
@@ -643,13 +636,14 @@ def _factor_positive_roots(f: Factor) -> list[tuple[int, ...]]:
     return out
 
 
-def _factor_simple_roots(f: Factor) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=16)
+def _factor_simple_roots(f: Factor) -> tuple[tuple[int, ...], ...]:
     """The positive roots that are not the sum of two positive roots, in
     positive-root order: e_i - e_{i+1}, then 2e_r on BC or e_{r-1} + e_r
     on D (Humphreys, Reflection Groups and Coxeter Groups, Sections 1.2-1.5)."""
     pos = _factor_positive_roots(f)
     sums = {tuple(map(sum, zip(a, b))) for a, b in itertools.combinations(pos, 2)}
-    return [beta for beta in pos if beta not in sums]
+    return tuple(beta for beta in pos if beta not in sums)
 
 
 def _reflection(group: GroupDescriptor, beta: Sequence[int]) -> SignedPermutation:

@@ -16,6 +16,9 @@ weight of every support set summed anew at every level, the canonical
 sort key from `order_key` on each factor's local window, and the Bruhat
 rows and type-D parity keys of the order route from each translate's own
 ranks rather than from the distinct prefix sets the library translates.
+The type-D Bruhat order also comes from a chain of lifting-property steps
+along right descents (`_bruhat_leq_d`), where the library tests sorted
+prefixes and the parity condition.
 `scan_retract` is the order route's retraction by its quadratic scan
 alone, without the extremum read off first.
 """
@@ -44,6 +47,7 @@ from weylret.weyl import (
     GroupDescriptor,
     SignedPermutation,
     WeylType,
+    _length_signed,
     act_on_vector,
     compose,
     elements,
@@ -101,6 +105,43 @@ def oracle_leq(
     w: SignedPermutation,
 ) -> bool:
     return v.window in closure[w.window]
+
+
+def _apply_simple_d(win: Window, s: int) -> Window:
+    """Right multiplication of a type-D window by the s-th simple reflection, 0-based."""
+    w = list(win)
+    if s < len(w) - 1:
+        w[s], w[s + 1] = w[s + 1], w[s]
+    else:
+        w[-2], w[-1] = -w[-1], -w[-2]
+    return tuple(w)
+
+
+def _descent_d(win: Window, s: int) -> bool:
+    """True when right multiplication by simple s shortens a type-D window."""
+    if s < len(win) - 1:
+        a, b = win[s], win[s + 1]
+        return (abs(a) < abs(b) and a < 0) or (abs(a) > abs(b) and b > 0)
+    a, b = win[-2], win[-1]
+    return (abs(a) < abs(b) and a < 0) or (abs(a) > abs(b) and b < 0)
+
+
+def _bruhat_leq_d(v: Window, w: Window) -> bool:
+    """Bruhat order on the windows of one D_r by the lifting property: for
+    s a right descent of w, v <= w iff (vs <= ws when s is a descent of v,
+    else v <= ws).  Each step shortens w by one, so the chain ends within
+    length(w) steps."""
+    lv, lw = _length_signed(WeylType.D, v), _length_signed(WeylType.D, w)
+    while v != w:
+        if lv >= lw:
+            return False
+        s = next(s for s in range(len(w)) if _descent_d(w, s))
+        if _descent_d(v, s):
+            v = _apply_simple_d(v, s)
+            lv -= 1
+        w = _apply_simple_d(w, s)
+        lw -= 1
+    return True
 
 
 def chamber_cone(u: SignedPermutation) -> tuple[tuple[int, ...], ...]:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _bruhat_leq_d,
     canonical_key_by_factors,
     covering_closure,
     oracle_leq,
@@ -41,7 +42,6 @@ from weylret.weyl import (
     GroupDescriptor,
     SignedPermutation,
     WeylType,
-    _bruhat_leq_d,
     bruhat_leq,
     compose,
     elements,
@@ -654,8 +654,11 @@ def test_d_order_rows_match_lifting_walk_on_every_pair(group):
     windows = [w.window for w in pool]
     if len(group.factors) == 1:
         expected = [[_bruhat_leq_d(v, w) for w in windows] for v in windows]
+        # the scalar order meets the walk too
+        assert [[bruhat_leq(v, w) for w in pool] for v in pool] == expected
     else:
-        expected = [[bruhat_leq(v, w) for w in pool] for v in pool]
+        closure = covering_closure(group)
+        expected = [[oracle_leq(closure, v, w) for w in pool] for v in pool]
     assert (_order_matrix(group, windows) == np.array(expected)).all()
 
 
@@ -741,5 +744,6 @@ def test_d_order_rows_match_lifting_walk_on_b_comparable_pairs(r):
         expected = _bruhat_leq_d(v, w)
         rejected += not expected
         assert _order_matrix(group, [v, w])[0, 1] == expected, (v, w)
+        assert bruhat_leq(group.element(v), group.element(w)) == expected, (v, w)
     # B-comparable pairs that D rejects do occur, so condition (ii) was tested
     assert rejected > 0

@@ -340,7 +340,7 @@ def test_longest_element_sends_every_positive_root_negative(group):
 
 @pytest.mark.parametrize(
     "typ,rank",
-    [("A", 3), ("A", 4), ("BC", 2), ("BC", 3), ("BC", 4), ("D", 3), ("D", 4)],
+    [("A", 3), ("A", 4), ("BC", 2), ("BC", 3), ("BC", 4), ("D", 2), ("D", 3), ("D", 4)],
 )
 def test_bruhat_vs_covering_closure(typ, rank):
     g = GroupDescriptor.simple(typ, rank)
