@@ -16,7 +16,8 @@ carries the bitmask of the points on it; vertices and edges are read off
 those masks, and an edge is certified by the sum of the normals of its
 facets.  The edge LP, which cross-checks the hull, is solved as its
 Farkas dual: a convex combination of the other points on the line through
-the pair, d+1 rows over one column per point.
+the pair, posed on the points projected along the pair's direction, so
+that it is d rows over one column per other point.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
-from operator import and_
+from operator import and_, mul
 from typing import NamedTuple, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -223,12 +224,16 @@ class Membership(Enum):
 
 
 def _dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    """<a, b> for vectors of one length, unchecked: a longer one is cut."""
+    return sum(map(mul, a, b))
 
 
 def cone_membership(normals: Sequence[Sequence[Rat]], point: Sequence[Rat]) -> Membership:
     """Position of a point relative to the cone {x : <n, x> >= 0 for n in
-    normals}: interior means every inequality is strict."""
+    normals}: interior means every inequality is strict.  Normals of
+    another length than the point raise `PreconditionError`."""
+    if set(map(len, normals)) - {len(point)}:
+        raise PreconditionError(f"a normal's length differs from the point's, {len(point)}")
     tight = False
     for n in normals:
         s = _dot(n, point)
@@ -254,7 +259,8 @@ def _phase1_feasible(rows: list[list[int]], rhs: list[int]) -> bool:
     pivot; Edmonds' scheme, as in lrs).  A pivot on (r, s) keeps row r and
     maps every other row, the objective row included, to
     (row * piv - row[s] * tab[r]) // D, an exact division by Sylvester's
-    identity; D then becomes piv.
+    identity; D then becomes piv.  So a row with row[s] = 0 is left as it
+    is when piv = D.
     """
     m = len(rows)
     if m == 0:
@@ -286,8 +292,8 @@ def _phase1_feasible(rows: list[list[int]], rhs: list[int]) -> bool:
         prow = tab[r]
         piv = prow[enter]
         for i in range(m):
-            if i != r:
-                f = tab[i][enter]
+            f = tab[i][enter]
+            if i != r and (f or piv != denom):
                 tab[i] = [(a * piv - f * b) // denom for a, b in zip(tab[i], prow)]
         f = obj[enter]
         obj = [(a * piv - f * b) // denom for a, b in zip(obj, prow)]
@@ -304,12 +310,11 @@ def lp_edge_feasible(points: Sequence[Sequence[Rat]], i: int, j: int) -> bool:
     of the other points lies on the line pq.
 
     That is the Farkas dual, and it is what gets solved: lambda >= 0, one
-    per other point r_k, and mu+, mu- >= 0 with
-    sum lambda_k (r_k - p) + (mu+ - mu-) (q - p) = 0 and sum lambda_k = 1,
-    d + 1 rows over n columns, on the points scaled to integers once
-    (`_lp_edge_feasible`).  By Farkas' lemma exactly one of the two systems
-    is feasible.  Indices must differ and lie in range, and the points must
-    share one length, or `PreconditionError` is raised."""
+    per other point r_k, with sum lambda_k = 1 and sum lambda_k (r_k - p)
+    on the line through 0 and u = q - p, on the points scaled to integers
+    once (`_lp_edge_feasible`).  By Farkas' lemma exactly one of the two
+    systems is feasible.  Indices must differ and lie in range, and the
+    points must share one length, or `PreconditionError` is raised."""
     n = len(points)
     if not (0 <= i < n and 0 <= j < n):
         raise PreconditionError(f"pair ({i}, {j}) out of range for {n} points")
@@ -324,15 +329,20 @@ def lp_edge_feasible(points: Sequence[Sequence[Rat]], i: int, j: int) -> bool:
 def _lp_edge_feasible(pts: Sequence[Sequence[int]], i: int, j: int) -> bool:
     """`lp_edge_feasible` on integer points of one length, with i != j in
     range, unchecked: a caller that tests many pairs of one point set
-    scales the points once and calls this per pair."""
-    n = len(pts)
+    scales the points once and calls this per pair.  The differences r_k - p
+    are projected along u by x -> u_c x - x_c u, for the first c with
+    u_c != 0: its kernel is span(u) and its coordinate c is 0, so the
+    system is d rows over one column per other point (unprojected if u = 0)."""
     p, q = pts[i], pts[j]
-    cols = [[a - b for a, b in zip(r, p)] for k, r in enumerate(pts) if k != i and k != j]
     u = [b - a for a, b in zip(p, q)]
-    cols += [u, [-v for v in u]]
+    c = next((k for k, v in enumerate(u) if v), None)
+    cols = [[a - b for a, b in zip(r, p)] for k, r in enumerate(pts) if k != i and k != j]
+    if c is not None:
+        uc = u[c]
+        cols = [[uc * a - xc * b for a, b in zip(x, u)] for x in cols for xc in (x[c],)]
     # a coordinate on which every column vanishes gives no constraint
     rows = [list(row) for row in zip(*cols) if any(row)]
-    rows.append([1] * (n - 2) + [0, 0])
+    rows.append([1] * (len(pts) - 2))
     return not _phase1_feasible(rows, [0] * (len(rows) - 1) + [1])
 
 
@@ -371,7 +381,10 @@ def certifies_edge(
     points: Sequence[Sequence[Rat]], i: int, j: int, normal: Sequence[Rat], offset: Rat
 ) -> bool:
     """True when normal . p equals offset at points i and j and is smaller
-    at every other point, which proves [i, j] an edge of their hull."""
+    at every other point, which proves [i, j] an edge of their hull.  A
+    point of another length than the normal raises `PreconditionError`."""
+    if set(map(len, points)) - {len(normal)}:
+        raise PreconditionError(f"a point's length differs from the normal's, {len(normal)}")
     for k, p in enumerate(points):
         v = _dot(normal, p)
         if v > offset or (v == offset) != (k == i or k == j):
@@ -379,7 +392,7 @@ def certifies_edge(
     return True
 
 
-def _primitive(vec: list[int]) -> tuple[int, ...]:
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """The vector divided by its content; the zero vector as it is."""
     g = gcd(*vec)
     return tuple(v // g for v in vec) if g > 1 else tuple(vec)

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import DescriptorMismatch, PreconditionError
-from .exact import _lp_edge_feasible, certifies_edge, hull_edges, integer_primitive
+from .exact import _lp_edge_feasible, _primitive, certifies_edge, hull_edges
 from .retraction import SubsetM, _extremal_sets, algebraic_retract, closest_set
 from .retraction import _extremal_elements  # noqa: F401  (bench/spans.py traces the scan by this name)
 from .weyl import (
@@ -80,6 +81,13 @@ def orbit_points(M: SubsetM) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ..
     return tuple(act_on_vector(w, nu) for w in M), nu
 
 
+@lru_cache(maxsize=16)
+def _root_lines(group: GroupDescriptor) -> frozenset[tuple[int, ...]]:
+    """The roots divided by their content: an integer direction is
+    parallel to a root iff it is one of these once divided by its own."""
+    return frozenset(_primitive(beta) for beta in group.all_roots())
+
+
 @dataclass(frozen=True)
 class PhiReport:
     is_phi: bool
@@ -107,14 +115,12 @@ def phi_polytope_check(M: SubsetM) -> PhiReport:
     # points of one orbit lie on a sphere, so each must come back a vertex
     if len(hull.vertices) != len(points):
         raise AssertionError("regular orbit point was not a hull vertex")
-    # a direction is parallel to a root iff their primitive forms agree;
-    # a root and its negative share one
-    root_lines = {integer_primitive(beta) for beta in M.group.positive_roots()}
+    root_lines = _root_lines(M.group)
     members = M.elements
     offending = [
         (i, j)
         for i, j in hull.edges
-        if integer_primitive([a - b for a, b in zip(points[i], points[j])]) not in root_lines
+        if _primitive([a - b for a, b in zip(points[i], points[j])]) not in root_lines
     ]
     for i, j in offending:
         if not certifies_edge(points, i, j, *hull.edge_certificate(i, j)):

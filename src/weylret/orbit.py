@@ -72,6 +72,27 @@ class PluckerSupport:
         """Per level, each set as a bitmask with bit j - 1 for row j."""
         return tuple(tuple(sum(1 << (j - 1) for j in J) for J in level) for level in self.sets)
 
+    @cached_property
+    def fixed_points(self) -> SubsetM:
+        """Permutations whose prefix sets all lie in the support, built one
+        letter at a time: a window of length k - 1 whose prefix sets all
+        lie in the support is extended by each letter a that makes its set
+        plus a a support set of size k.  Each window carries its set as a
+        bitmask, as in `masks`; a letter already in the set leaves the mask
+        at size k - 1, so it is never allowed."""
+        letters = [(a, 1 << (a - 1)) for a in range(1, self.n + 1)]
+        windows: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        for level in self.masks:
+            allowed = set(level)
+            windows = [
+                (w + (a,), J | bit)
+                for w, J in windows
+                for a, bit in letters
+                if J | bit in allowed
+            ]
+        group = _type_a_group(self.n)
+        return SubsetM(group, tuple(SignedPermutation._unchecked(group, w) for w, _ in windows))
+
     def to_json(self) -> dict:
         return {"n": self.n, "sets": [[list(J) for J in level] for level in self.sets]}
 
@@ -109,27 +130,10 @@ def plucker_support(x: RationalMatrix) -> PluckerSupport:
 
 
 def fixed_points(support: PluckerSupport | RationalMatrix) -> SubsetM:
-    """Permutations whose prefix sets all lie in the support, built one
-    letter at a time: a window of length k - 1 whose prefix sets all lie in
-    the support is extended by each letter a that makes its set plus a a
-    support set of size k.  Each window carries its set as a bitmask, as
-    in `PluckerSupport.masks`; a letter already in the set leaves the
-    mask at size k - 1, so it is never allowed."""
+    """The support's `PluckerSupport.fixed_points`, built once per support."""
     if isinstance(support, RationalMatrix):
         support = plucker_support(support)
-    n = support.n
-    letters = [(a, 1 << (a - 1)) for a in range(1, n + 1)]
-    windows: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for level in support.masks:
-        allowed = set(level)
-        windows = [
-            (w + (a,), J | bit)
-            for w, J in windows
-            for a, bit in letters
-            if J | bit in allowed
-        ]
-    group = _type_a_group(n)
-    return SubsetM(group, tuple(SignedPermutation._unchecked(group, w) for w, _ in windows))
+    return support.fixed_points
 
 
 def limit_point(
@@ -194,7 +198,7 @@ def geometric_table(x: PluckerSupport | RationalMatrix) -> RetractionTable:
         x = plucker_support(x)
     group = _type_a_group(x.n)
     images = [limit_point(x, weight_for_chamber(u)) for u in elements(group)]
-    return RetractionTable(group, fixed_points(x).elements, images, provenance="geometric-limit")
+    return RetractionTable(group, x.fixed_points.elements, images, provenance="geometric-limit")
 
 
 def sample_rational_point(

@@ -10,7 +10,10 @@ of a fan cone's members from a search over wall adjacency, the Pluecker
 support from one determinant per minor (`minor`, Bareiss on the
 submatrix), hull edges from the primal edge LP, of which the library
 solves the Farkas dual, posed as a general feasibility problem
-(`lp_feasible`, on the library's integer phase 1), the torus fixed
+(`lp_feasible`, on the library's integer phase 1), and from that dual on
+the unprojected points (`lp_edge_two_sided`), hull facets from every
+hyperplane through affinely independent points (`hull_facets_brute`,
+Leibniz determinants), the torus fixed
 points from a test of every permutation, the limit fixed point from the
 weight of every support set summed anew at every level, the canonical
 sort key from `order_key` on each factor's local window, and the Bruhat
@@ -25,10 +28,13 @@ alone, without the extremum read off first.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+import sympy
 from sympy import Rational as SymRational
 from sympy.geometry import Point2D, Polygon, Segment2D, convex_hull
 
@@ -291,6 +297,79 @@ def lp_edge_primal(points, i: int, j: int) -> bool:
         if k not in (i, j)
     ]
     return lp_feasible(ineqs, eqs, len(p))
+
+
+def lp_edge_two_sided(points, i: int, j: int) -> bool:
+    """The Farkas dual of the edge LP on the unprojected points: lambda >= 0,
+    one per other point r_k, and mu+, mu- >= 0 with sum lambda_k (r_k - p)
+    + (mu+ - mu-) (q - p) = 0 and sum lambda_k = 1, d + 1 rows over n
+    columns, on the points scaled to integers by one lcm.  The pair spans
+    an edge iff this system is infeasible."""
+    flat = clear_denominators([v for pt in points for v in pt])
+    d = len(points[i])
+    pts = [flat[k * d:(k + 1) * d] for k in range(len(points))]
+    p, q = pts[i], pts[j]
+    cols = [[a - b for a, b in zip(r, p)] for k, r in enumerate(pts) if k != i and k != j]
+    u = [b - a for a, b in zip(p, q)]
+    cols += [u, [-v for v in u]]
+    rows = [list(row) for row in zip(*cols) if any(row)]
+    rows.append([1] * (len(pts) - 2) + [0, 0])
+    return not _phase1_feasible(rows, [0] * (len(rows) - 1) + [1])
+
+
+@functools.lru_cache(maxsize=8)
+def _signed_permutations(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return tuple(
+        (-1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1, perm)
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def _det(m) -> int:
+    """Determinant by the Leibniz formula: a signed sum over permutations."""
+    return sum(sign * math.prod(m[r][c] for r, c in enumerate(perm))
+               for sign, perm in _signed_permutations(len(m)))
+
+
+def hull_facets_brute(points) -> set[tuple[tuple[int, ...], int, int]]:
+    """The facets (normal, offset, mask) of the hull of distinct integer
+    points, as `Hull.facets` states them, by trying every hyperplane.
+
+    The chart is the first coordinates that raise the rank of the
+    differences to the first point (sympy's rank), k of them for an affine
+    hull of dimension k.  In the chart, each k affinely independent points
+    span one hyperplane a . x = b, (a, b) read off the k-by-(k+1) matrix
+    of rows (p, -1) by signed maximal minors.  It is a facet when every
+    point lies on one side; it is kept as (a, b) divided by their gcd and
+    signed so that a . p <= b, a zero in a at each coordinate off the
+    chart, and the bitmask of the points on it."""
+    dim = len(points[0])
+    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    chart: list[int] = []
+    for c in range(dim):
+        if diffs and sympy.Matrix([[row[t] for t in chart + [c]] for row in diffs]).rank() > len(chart):
+            chart.append(c)
+    k = len(chart)
+    facets = set()
+    if k == 0:
+        return facets
+    for subset in itertools.combinations(points, k):
+        m = [[p[c] for c in chart] + [-1] for p in subset]
+        x = [(-1) ** t * _det([row[:t] + row[t + 1:] for row in m]) for t in range(k + 1)]
+        g = math.gcd(*x)
+        if g == 0:
+            continue
+        a, b = [v // g for v in x[:k]], x[k] // g
+        sides = [sum(ac * p[c] for ac, c in zip(a, chart)) - b for p in points]
+        if max(sides) > 0:
+            if min(sides) < 0:
+                continue
+            a, b, sides = [-v for v in a], -b, [-s for s in sides]
+        normal = [0] * dim
+        for ac, c in zip(a, chart):
+            normal[c] = ac
+        facets.add((tuple(normal), b, sum(1 << t for t, s in enumerate(sides) if s == 0)))
+    return facets
 
 
 def fixed_point_windows_by_scan(support: PluckerSupport) -> tuple[Window, ...]:

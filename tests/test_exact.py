@@ -9,7 +9,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hull_edges_2d, lp_edge_primal, lp_feasible, minor
+from oracles import (
+    hull_edges_2d,
+    hull_facets_brute,
+    lp_edge_primal,
+    lp_edge_two_sided,
+    lp_feasible,
+    minor,
+)
 from weylret import exact
 from weylret.errors import ParseError, PreconditionError
 from weylret.exact import (
@@ -26,6 +33,9 @@ from weylret.exact import (
     nullspace_basis,
     parse_rational,
 )
+from weylret.matroid import orbit_points
+from weylret.retraction import SubsetM
+from weylret.weyl import GroupDescriptor, elements
 
 F = Fraction
 
@@ -257,6 +267,14 @@ def test_cone_membership():
     assert cone_membership(cone, (0, 1)) is Membership.BOUNDARY
     assert cone_membership(cone, (0, 0)) is Membership.BOUNDARY
     assert cone_membership(cone, (-1, 1)) is Membership.OUTSIDE
+
+
+def test_cone_membership_refuses_mixed_lengths():
+    # zip would cut the longer vector: the normal (1, 0, -5) read on (1, 1)
+    # as (1, 0) would grade the point interior
+    for normals, point in [(((1, 0, -5),), (1, 1)), (QUADRANT, (1,)), ((*QUADRANT, (1,)), (1, 1))]:
+        with pytest.raises(PreconditionError, match="length"):
+            cone_membership(normals, point)
 
 
 def test_cone_lineality():
@@ -585,6 +603,96 @@ def test_lp_edge_feasible_matches_hull_2d():
             assert lp_edge_feasible(pts, i, j) == (
                 frozenset((i, j)) in edge_set
             )
+
+
+def test_certifies_edge_refuses_mixed_lengths():
+    square = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    # cut to (0, 1), the normal (0, -1, 9) would certify the bottom edge
+    with pytest.raises(PreconditionError, match="length"):
+        certifies_edge(square, 0, 1, (0, -1, 9), 0)
+    with pytest.raises(PreconditionError, match="length"):
+        certifies_edge([*square[:3], (0, 2, 5)], 0, 1, (0, -1), 0)
+
+
+ORBIT_GROUPS = (("A", 2), ("A", 3), ("BC", 2), ("BC", 3), ("D", 3), ("D", 4))
+
+
+@st.composite
+def facet_cases(draw):
+    """Distinct integer points in dimension 2-4: in general position, on
+    one plane or one line, or a subset of a Weyl orbit; or vertices of a
+    cube in dimension 3-5, where rays that share d - 1 tight points need
+    not be adjacent."""
+    kind = draw(st.sampled_from(("general", "plane", "line", "orbit", "cube")))
+    if kind == "cube":
+        corners = list(itertools.product((0, 1), repeat=draw(st.integers(3, 5))))
+        return draw(st.lists(st.sampled_from(corners), min_size=2, max_size=10, unique=True))
+    if kind == "orbit":
+        group = GroupDescriptor.simple(*draw(st.sampled_from(ORBIT_GROUPS)))
+        W = elements(group)
+        picks = draw(st.lists(st.sampled_from(W), min_size=1, max_size=10, unique=True))
+        return list(orbit_points(SubsetM(group, tuple(picks)))[0])
+    dim = draw(st.integers(2, 4))
+    coord = st.integers(-3, 3)
+    vec = st.lists(coord, min_size=dim, max_size=dim)
+    n = draw(st.integers(1, 9))
+    if kind == "general":
+        return [tuple(p) for p in draw(st.lists(vec, min_size=n, max_size=n, unique_by=tuple))]
+    base = draw(vec)
+    dirs = draw(st.lists(vec, min_size=1 if kind == "line" else 2, max_size=1 if kind == "line" else 2))
+    steps = draw(st.lists(st.lists(coord, min_size=len(dirs), max_size=len(dirs)), min_size=n, max_size=n))
+    return sorted({
+        tuple(b + sum(t * d[c] for t, d in zip(ts, dirs)) for c, b in enumerate(base))
+        for ts in steps
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_cases())
+def test_hull_facets_match_brute_force(points):
+    # every facet once, with its normal, offset and mask, also on point sets
+    # that do not span their space
+    facets = [(f.normal, f.offset, f.mask) for f in hull_edges(points).facets]
+    assert len(set(facets)) == len(facets)
+    assert set(facets) == hull_facets_brute(points)
+
+
+@st.composite
+def projected_lp_cases(draw):
+    """Integer points in dimension 1-5 and a pair i != j of them: the pair
+    alone, a pair with a third point on its line, a pair whose direction
+    starts with zeros, a repeated point, or points in general position."""
+    dim = draw(st.integers(1, 5))
+    coord = st.integers(-5, 5)
+    vec = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
+    kind = draw(st.sampled_from(("pair", "collinear", "leading zeros", "repeat", "general")))
+    p = draw(vec)
+    others = [] if kind == "pair" else draw(st.lists(vec, max_size=5))
+    if kind == "collinear":
+        step = draw(vec.filter(any))
+        s, t = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=2, max_size=2, unique=True))
+        q = tuple(a + s * b for a, b in zip(p, step))
+        others.append(tuple(a + t * b for a, b in zip(p, step)))
+    elif kind == "leading zeros":
+        zeros = draw(st.integers(0, dim - 1))
+        tail = draw(st.lists(coord, min_size=dim - zeros, max_size=dim - zeros).filter(any))
+        q = tuple(a + b for a, b in zip(p, (0,) * zeros + tuple(tail)))
+    elif kind == "repeat":
+        q = p
+    else:
+        q = draw(vec.filter(lambda v: v != p))
+    order = draw(st.permutations(range(len(others) + 2)))
+    points = [[p, q, *others][k] for k in order]
+    return points, order.index(0), order.index(1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(projected_lp_cases())
+def test_projected_edge_lp_matches_two_sided_and_primal(case):
+    points, i, j = case
+    got = exact._lp_edge_feasible(points, i, j)
+    assert got == lp_edge_two_sided(points, i, j)
+    assert got == lp_edge_primal(points, i, j)
 
 
 @st.composite

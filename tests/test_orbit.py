@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings
@@ -165,6 +166,33 @@ def test_geometric_table_demo_and_provenance(s3):
     }
     alg = retraction_table(fixed_points(DEMO_1))
     assert table.as_dict == alg.as_dict
+
+
+def test_geometric_table_reuses_the_fixed_points(monkeypatch):
+    # the fixed points are built once per support, whoever asks first
+    build = PluckerSupport.__dict__["fixed_points"].func
+    built = []
+
+    def counted(support):
+        built.append(support)
+        return build(support)
+
+    prop = cached_property(counted)
+    prop.__set_name__(PluckerSupport, "fixed_points")
+    monkeypatch.setattr(PluckerSupport, "fixed_points", prop)
+    for x in (DEMO_1, DEMO_2, sample_rational_point(4, seed=3, kind="sparse")):
+        sup = plucker_support(x)
+        fixed = fixed_points(sup)
+        tables = [geometric_table(sup), geometric_table(sup)]
+        assert all(t.targets == fixed.elements for t in tables)
+        assert fixed_points(sup) is fixed
+        assert built == [sup]
+        built.clear()
+        # from the table side first
+        sup = plucker_support(x)
+        assert geometric_table(sup).targets == fixed_points(sup).elements == fixed.elements
+        assert built == [sup]
+        built.clear()
 
 
 def test_sample_rational_point_determinism():
