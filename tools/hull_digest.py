@@ -15,8 +15,8 @@ The inputs are:
   plane in a larger space, cube corners, a point set lifted by a
   dependent or constant coordinate, and rational points.
 
-Needs only the standard library and the checkout; prints the digest, then
-the number of hulls and reports it covers.
+Needs what the checkout's own code needs; prints the digest, then the
+number of hulls and reports it covers.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ def random_sets(rng: random.Random, count: int) -> list[list[tuple]]:
         elif kind == "lifted":
             low = [vec(d=max(dim - 1, 1)) for _ in range(n)]
             k = rng.randint(-2, 2)
-            pts = [(k * p[0] + p[-1], *p) if rng.random() < 0.5 else (k, *p) for p in low]
+            constant = rng.random() < 0.5
+            pts = [(k, *p) if constant else (k * p[0] + p[-1], *p) for p in low]
         elif kind == "rational":
             pts = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
                    for _ in range(n)]
