@@ -89,9 +89,6 @@ def main(argv: list[str]) -> int:
         feed("hull", hull.vertices, hull.edges,
              [(f.normal, str(f.offset), f.mask) for f in hull.facets])
 
-    def win(w) -> tuple:
-        return w.window
-
     hulls = reports = 0
     for seed in SEEDS:
         for case in inputs.polytope(seed)["cases"]:
@@ -99,9 +96,9 @@ def main(argv: list[str]) -> int:
             M = SubsetM(group, tuple(group.element(w) for w in case["windows"]))
             feed_hull(orbit_points(M)[0])
             r = phi_polytope_check(M)
-            feed("phi", r.is_phi, [win(w) for w in r.vertices],
-                 [(win(a), win(b)) for a, b in r.edges],
-                 [(win(a), win(b)) for a, b in r.offending], r.nu)
+            feed("phi", r.is_phi, [w.window for w in r.vertices],
+                 [(a.window, b.window) for a, b in r.edges],
+                 [(a.window, b.window) for a, b in r.offending], r.nu)
             hulls += 1
             reports += 1
     for points in random_sets(random.Random(RANDOM_SEED), RANDOM_SETS):
