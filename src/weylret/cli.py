@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -25,11 +26,6 @@ from typing import Sequence
 from .errors import NotAMatroidAt, ParseError, PreconditionError, WeylretError
 from .exact import RationalMatrix, parse_rational
 from .fan import build_fan, query
-from .matroid import (
-    is_coxeter_matroid,
-    phi_polytope_check,
-    two_element_analysis,
-)
 from .orbit import (
     fixed_points,
     geometric_table,
@@ -44,7 +40,6 @@ from .retraction import (
     matroid_retract,
     retraction_table,
 )
-from .suites import SUITES, _random_subset, run_suite
 from .weyl import Factor, GroupDescriptor, SignedPermutation, WeylType
 
 
@@ -252,6 +247,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_matroid_check(args) -> int:
+    from .matroid import is_coxeter_matroid
+
     M = _subset_from_args(args)
     verdict = is_coxeter_matroid(M, side=args.side)
     _emit({
@@ -266,6 +263,8 @@ def cmd_matroid_check(args) -> int:
 
 
 def cmd_matroid_polytope(args) -> int:
+    from .matroid import phi_polytope_check
+
     M = _subset_from_args(args)
     report = phi_polytope_check(M)
     _emit({
@@ -281,6 +280,9 @@ def cmd_matroid_polytope(args) -> int:
 def cmd_matroid_scan(args) -> int:
     """Random search for a subset where the order route and the polytope
     route disagree; none is expected to exist."""
+    from .matroid import is_coxeter_matroid, phi_polytope_check
+    from .suites import _random_subset
+
     group = parse_group(args.group)
     rng = random.Random(args.seed)
     disagreements = []
@@ -304,6 +306,8 @@ def cmd_matroid_scan(args) -> int:
 
 
 def cmd_two_element(args) -> int:
+    from .matroid import two_element_analysis
+
     group = parse_group(args.group)
     data = _json_value(args.pair)
     if not isinstance(data, list) or len(data) != 2:
@@ -329,6 +333,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import SUITES, run_suite
+
     names = args.suite or sorted(SUITES)
     for name in names:
         if name not in SUITES:
@@ -429,7 +435,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("verify", help="run named verification suites")
-    p.add_argument("suite", nargs="*", help=f"suites: {', '.join(sorted(SUITES))}")
+    p.add_argument("suite", nargs="*", help="suite names (default: all suites)")
     p.add_argument("--count", type=_count, default=None, help="scale random parts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true", help="embed wall times in stdout")
@@ -440,6 +446,19 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; what is still buffered goes to the null
+        # device, so that the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed", file=sys.stderr)
+        return 4
+    return code
+
+
+def _dispatch(argv: Sequence[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except ParseError as exc:

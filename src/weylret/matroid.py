@@ -13,7 +13,7 @@ A third route for the order itself: on types A and BC the shifted Bruhat
 order is equivalent to prefix-set dominance in the Gale order the base
 element induces, which `flag_order_leq` computes from scratch.  On D the
 order is still read off prefix sets, but Gale dominance alone is too weak:
-it also needs a parity condition (see `retraction._set_parity_keys`).
+it also needs a parity condition (see `order._set_parity_keys`).
 `bruhat_interval` filters with the scalar `bruhat_leq`, which tests the
 same criterion as the order route's kernel.
 """
@@ -27,8 +27,9 @@ from typing import Iterable
 
 from .errors import DescriptorMismatch, PreconditionError
 from .exact import _lp_edge_feasible, _primitive, certifies_edge, hull_edges
-from .retraction import SubsetM, _extremal_sets, algebraic_retract, closest_set
-from .retraction import _extremal_elements  # noqa: F401  (bench/spans.py traces the scan by this name)
+from .order import _extremal_elements  # noqa: F401  (bench/spans.py traces the scan by this name)
+from .order import _extremal_sets
+from .retraction import SubsetM, algebraic_retract, closest_set
 from .weyl import (
     GroupDescriptor,
     SignedPermutation,
@@ -57,10 +58,10 @@ def is_coxeter_matroid(M: SubsetM, side: str = "max") -> MatroidVerdict:
 
     For any M, the unique extrema of all base elements are read off the
     translated prefix sets of M in chunks, one array pass each
-    (`retraction._extrema`), which settles uniqueness without the
-    quadratic scan; the base elements of a chunk with no unique extremum
-    go together to one batched scan (`retraction._extremal_elements`),
-    which lists their extremal elements."""
+    (`order._extrema`), which settles uniqueness without the quadratic
+    scan; the base elements of a chunk with no unique extremum go together
+    to one batched scan (`order._extremal_elements`), which lists their
+    extremal elements."""
     if side not in ("min", "max"):
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     us = elements(M.group)

@@ -18,9 +18,9 @@ test suite pins against breadth-first word length over these generators.
 
 Bruhat order has one criterion on every type, with no cache: the
 sorted-prefix test on letter ranks in the order above, plus on D a parity
-condition on prefixes (`_parity_meets`).  The order route of `retraction`
-applies the same criterion to whole arrays: the sorted prefixes, and on D
-the parity keys of `retraction._set_parity_keys`.
+condition on prefixes (`_parity_meets`).  The order route's kernels in
+`order` apply the same criterion to whole arrays: the sorted prefixes,
+and on D the parity keys of `order._set_parity_keys`.
 
 `root_set` gives the roots a chamber sees negative as one integer
 bitmask, so word distances are popcounts of an XOR; the fan and the
@@ -333,7 +333,7 @@ def _bruhat_leq_prefix(v: Sequence[int], w: Sequence[int]) -> bool:
 
 
 def _parity_key(prefix: Sequence[int], r: int, t: int) -> int:
-    # The key 2C + P of `retraction._set_parity_keys` at threshold t, or -1
+    # The key 2C + P of `order._set_parity_keys` at threshold t, or -1
     # when the prefix misses a letter of absolute value >= t.
     high = [a for a in prefix if abs(a) >= t]
     if len(high) != r + 1 - t:

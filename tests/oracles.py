@@ -48,7 +48,8 @@ from weylret.exact import (
 )
 from weylret.fan import FanCone
 from weylret.orbit import PluckerSupport
-from weylret.retraction import SubsetM, _extremal_elements, _parity_table
+from weylret.order import _extremal_elements, _parity_table
+from weylret.retraction import SubsetM
 from weylret.weyl import (
     GroupDescriptor,
     SignedPermutation,
@@ -433,7 +434,7 @@ def sorted_prefix_rows(group: GroupDescriptor, ranks: np.ndarray) -> np.ndarray:
 
 def parity_keys(r: int, ranks: np.ndarray) -> np.ndarray:
     """The keys of condition (ii) of Bruhat order on D_r
-    (`retraction._set_parity_keys`), one row per row of `ranks`, whose last
+    (`order._set_parity_keys`), one row per row of `ranks`, whose last
     axis holds the ranks of the first r - 1 letters of one translate: the
     running sums of its letters' parity-table rows, levels k = 1..r-1 one
     after another."""

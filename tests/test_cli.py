@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -518,6 +522,16 @@ def test_verify_json_payload(capsys):
     assert payload[0]["checks"] == 44
 
 
+def test_unknown_suite_exits_3_and_lists_the_suites(capsys):
+    from weylret.suites import SUITES
+
+    assert main(["verify", "table1", "no-such-suite"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown suite 'no-such-suite'")
+    assert all(repr(name) in captured.err for name in SUITES)
+
+
 def test_verify_text_lines(capsys):
     code = main(["verify", "fan-figures", "--timings"])
     captured = capsys.readouterr()
@@ -534,3 +548,28 @@ def test_verify_threads_env(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.splitlines()[0].startswith("PASS closest-unique")
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--matrix", "[[1,2,0],[0,1,3],[1,0,1]]", "--method", "greedy"],
+    ["sample", "--n", "2", "--seed", "1"],
+], ids=["table", "sample"])
+def test_closed_stdout_exits_4_without_traceback(argv):
+    # stdout is a pipe whose reader is gone before anything is written
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylret", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

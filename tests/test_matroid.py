@@ -28,8 +28,9 @@ from weylret.matroid import (
     set_order_leq,
     two_element_analysis,
 )
-from weylret import retraction
-from weylret.retraction import SubsetM, _extremal_elements
+from weylret import order
+from weylret.order import _extremal_elements
+from weylret.retraction import SubsetM
 from weylret.suites import run_suite
 from weylret.weyl import (
     Factor,
@@ -240,7 +241,7 @@ def test_d_chunks_count_distinct_prefix_sets():
     # follows M's prefix sets, not its member count
     d4 = GroupDescriptor.simple(WeylType.D, 4)
     interval = SubsetM(d4, bruhat_interval(d4.identity(), d4.element((1, -3, -2, 4))))
-    assert retraction._batch_size(interval) > 12
+    assert order._batch_size(interval) > 12
 
     def sets(M):
         return [s.tolist() for levels in M.prefix_sets for s in levels]
@@ -251,7 +252,7 @@ def test_d_chunks_count_distinct_prefix_sets():
         if sets(trial) == sets(interval):
             fewer = list(trial)
     assert len(fewer) < len(interval)
-    assert retraction._batch_size(SubsetM(d4, tuple(fewer))) == retraction._batch_size(interval)
+    assert order._batch_size(SubsetM(d4, tuple(fewer))) == order._batch_size(interval)
 
 
 def test_order_route_memory_stays_bounded_when_most_bases_fail():

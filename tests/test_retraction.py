@@ -16,7 +16,7 @@ from oracles import (
     scan_retract,
     sorted_prefix_rows,
 )
-from weylret import retraction
+from weylret import order, retraction
 from weylret.errors import (
     DescriptorMismatch,
     EnumerationCapExceeded,
@@ -26,11 +26,11 @@ from weylret.errors import (
 from weylret.exact import RationalMatrix
 from weylret.matroid import MatroidVerdict, bruhat_interval, fano_matroid_s7, is_coxeter_matroid
 from weylret.orbit import fixed_points
+from weylret.order import _extremal_elements
 from weylret.retraction import (
     RetractionTable,
     SubsetM,
     _dominates_all,
-    _extremal_elements,
     algebraic_retract,
     closest_set,
     matroid_retract,
@@ -461,14 +461,14 @@ def test_extremal_scan_in_one_row_chunks(monkeypatch):
             cases.append((M, rng.choice(pool)))
     sides = ("min", "max")
     whole = [_extremal_elements(M, [u], side) for M, u in cases for side in sides]
-    monkeypatch.setattr(retraction, "_SCAN_BUDGET", 1)
+    monkeypatch.setattr(order, "_SCAN_BUDGET", 1)
     assert [_extremal_elements(M, [u], side) for M, u in cases for side in sides] == whole
 
 
 def test_fano_scan_agrees_with_greedy_first():
     # the scan over all 4032 members runs in chunks of the default budget
     M = fano_matroid_s7()
-    assert retraction._SCAN_BUDGET // len(M) < len(M)
+    assert order._SCAN_BUDGET // len(M) < len(M)
     u = elements(M.group)[1234]
     assert scan_retract(M, u) == matroid_retract(M, u)
 
@@ -498,7 +498,7 @@ def kernel_subsets(draw):
 @given(M=kernel_subsets(), side=st.sampled_from(("min", "max")), greedy_first=st.booleans())
 def test_batched_extremal_sets_match_the_scan_at_every_base(M, side, greedy_first):
     us = elements(M.group)
-    got = list(retraction._extremal_sets(M, us, side, greedy_first))
+    got = list(order._extremal_sets(M, us, side, greedy_first))
     assert got == [_extremal_elements(M, [u], side)[0] for u in us]
 
 
@@ -524,14 +524,14 @@ def _bruhat_extremal_sets(M, us, side):
 def test_batched_scan_matches_bruhat_oracle_in_every_chunking(M, side):
     us = elements(M.group)
     expected = _bruhat_extremal_sets(M, us, side)
-    m, cost = len(M), retraction._scan_cost(M)
+    m, cost = len(M), order._scan_cost(M)
     # a budget of k * cost gives a step of k rows: one row per chunk, row
     # chunks with a short last one (m - 1) and without (m), five whole base
     # elements per chunk (no group order is a multiple of five), and every
     # base element in one chunk
     steps = [1, m - 1, m, 5 * m, len(us) * m]
     for budget in (step * cost for step in steps):
-        with mock.patch.object(retraction, "_SCAN_BUDGET", budget):
+        with mock.patch.object(order, "_SCAN_BUDGET", budget):
             assert _extremal_elements(M, us, side) == expected
             assert _extremal_elements(M, [], side) == []
 
@@ -547,15 +547,15 @@ def test_batched_extremal_sets_in_one_base_chunks(monkeypatch):
 
     def run():
         return [
-            list(retraction._extremal_sets(M, elements(M.group), side, True))
+            list(order._extremal_sets(M, elements(M.group), side, True))
             for M in cases
             for side in ("min", "max")
         ]
 
     whole = run()
-    assert any(retraction._batch_size(M) > 1 for M in cases)
-    monkeypatch.setattr(retraction, "_BATCH_BUDGET", 1)
-    assert all(retraction._batch_size(M) == 1 for M in cases)
+    assert any(order._batch_size(M) > 1 for M in cases)
+    monkeypatch.setattr(order, "_BATCH_BUDGET", 1)
+    assert all(order._batch_size(M) == 1 for M in cases)
     assert run() == whole
 
 
@@ -604,14 +604,14 @@ def test_order_route_never_calls_the_greedy_route(monkeypatch):
         raise AssertionError("the order route called algebraic_retract")
 
     scans = []
-    scan = retraction._extremal_elements
+    scan = order._extremal_elements
 
     def counted_scan(M, us, side):
         scans.extend(us)
         return scan(M, us, side)
 
     monkeypatch.setattr(retraction, "algebraic_retract", refuse)
-    monkeypatch.setattr(retraction, "_extremal_elements", counted_scan)
+    monkeypatch.setattr(order, "_extremal_elements", counted_scan)
     for M, (verdicts, table, retracts) in zip(cases, expected):
         for verdict in verdicts:
             scans.clear()
@@ -632,7 +632,7 @@ def _order_matrix(group, windows, parity=True):
     """leq[i, j]: window i <= window j, read off the sorted-prefix rows and,
     with `parity`, the parity keys of every D factor."""
     n = group.window_length
-    to_rank = retraction._letter_lookups(group, [group.identity().window])
+    to_rank = order._letter_lookups(group, [group.identity().window])
     ranks = to_rank[0, n + np.array(windows, dtype=np.int64)]
     rows = sorted_prefix_rows(group, ranks)
     leq = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
@@ -674,12 +674,12 @@ def test_set_parity_keys_equal_each_members_keys(M):
     # the keys of a prefix set at level k are those of every member's
     # translated head whose first k letters form that set
     n = M.group.window_length
-    to_rank = retraction._letter_lookups(M.group, [u.window for u in elements(M.group)])
+    to_rank = order._letter_lookups(M.group, [u.window for u in elements(M.group)])
     # the D factor is the last one
     (off, f), levels = list(M.group.segments())[-1], M.prefix_sets[-1]
     r = f.rank
     assert f.type is _D
-    per_set = list(retraction._set_parity_keys(r, off, levels, to_rank))
+    per_set = list(order._set_parity_keys(r, off, levels, to_rank))
     windows = np.array([w.window for w in M], dtype=np.int64)
     per_member = parity_keys(r, to_rank[:, n + windows[:, off : off + r - 1]])
     assert len(per_set) == r - 1
